@@ -7,7 +7,7 @@ pool, 30 trees — Section III-D) and writes the results to
 ``BENCH_forest.json``:
 
 * ``fit`` — growing the full forest: presorted (one argsort per tree,
-  C split kernel) vs the per-node argsort reference.
+  one C kernel call per tree) vs the per-node argsort reference.
 * ``pool_scoring`` — scoring the whole pool with uncertainty: packed
   all-tree traversal vs the per-tree Python prediction loop.
 * ``cached_partial_rescore`` — re-scoring the pool after a partial

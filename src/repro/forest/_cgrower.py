@@ -1,11 +1,19 @@
-"""Build and load the optional C split kernel for presorted tree growth.
+"""Build, load and verify the optional C kernel for tree growth and traversal.
 
 The kernel (``_grower.c``) is a plain shared library — no Python or numpy
 headers — compiled on demand with whatever C compiler the host provides
-and driven through :mod:`ctypes`.  Everything is best-effort: missing
-compiler, failed build, unwritable build directories, or the
+and driven through :mod:`ctypes`.  It grows a whole tree per call, and to
+stay bit-identical with the numpy growers it reproduces three numpy
+behaviours: ``np.add.reduce``'s pairwise summation, ``np.dot`` through the
+very ``cblas_ddot`` numpy calls (resolved here from numpy's own extension
+module), and ``Generator.choice(d, size=m, replace=False)`` on the
+generator's ``bitgen_t``.  :func:`load` checks all three against numpy on
+a throwaway generator before handing the kernel out.
+
+Everything is best-effort: a missing compiler, a failed build, unwritable
+build directories, an unresolvable ``ddot``, a failed check, or the
 ``REPRO_PURE_NUMPY`` environment variable all make :func:`load` return
-``None``, and tree growth falls back to the pure-numpy presorted path
+``None``, and growth and traversal take the pure-numpy paths
 (bit-identical, just slower).
 
 Build artefacts are cached under ``_cbuild/`` next to this file (or the
@@ -22,7 +30,9 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-__all__ = ["load", "Ctx"]
+import numpy as np
+
+__all__ = ["load", "Kernel"]
 
 _SOURCE = Path(__file__).with_name("_grower.c")
 
@@ -30,36 +40,69 @@ _SOURCE = Path(__file__).with_name("_grower.c")
 #: kernel's multiply/add chains into differently-rounded operations and
 #: break bit-identity with the numpy reference.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: Libraries to link; they must follow the source on the command line.
+_LDLIBS = ("-lm",)
 
-_lib: "ctypes.CDLL | None" = None
+#: ``cblas_ddot`` names numpy may call, with whether each takes 64-bit
+#: integers: numpy 2.x wheels, numpy 1.x wheels, then a system BLAS.
+_DDOT_SYMBOLS = (
+    ("scipy_cblas_ddot64_", True),
+    ("cblas_ddot64_", True),
+    ("cblas_ddot", False),
+)
+
+_lib: "Kernel | None" = None
 _attempted = False
 
 
-class Ctx(ctypes.Structure):
-    """Per-tree constants shared by every kernel call (mirrors ``repro_ctx``)."""
+class Kernel:
+    """The loaded library plus the numpy ``ddot`` it was verified against."""
 
-    _fields_ = [
-        ("XT", ctypes.c_void_p),
-        ("y", ctypes.c_void_p),
-        ("inleft", ctypes.c_void_p),
-        ("out_d", ctypes.c_void_p),
-        ("d", ctypes.c_int64),
-        ("n", ctypes.c_int64),
-        ("msl", ctypes.c_int64),
-    ]
+    def __init__(self, lib: ctypes.CDLL, ddot: int, ddot_ilp64: bool) -> None:
+        self.lib = lib
+        self.grow_tree = lib.repro_grow_tree
+        self.traverse = lib.repro_traverse
+        self.ddot = ddot
+        self.ddot_ilp64 = ddot_ilp64
+
+    # The three reproductions of numpy, exposed for the load-time check.
+    def sum(self, a: np.ndarray) -> float:
+        return self.lib.repro_sum(a.ctypes.data, len(a))
+
+    def sumsq(self, a: np.ndarray) -> float:
+        return self.lib.repro_sumsq(
+            self.ddot, self.ddot_ilp64, a.ctypes.data, len(a)
+        )
+
+    def choice(self, rng: np.random.Generator, d: int, m: int) -> np.ndarray:
+        out = np.empty(d, dtype=np.intp)
+        seen = np.zeros(d, dtype=np.uint8)
+        self.lib.repro_choice(
+            rng.bit_generator.ctypes.bit_generator, d, m,
+            out.ctypes.data, seen.ctypes.data,
+        )
+        return out[:m]
 
 
 def _configure(lib: ctypes.CDLL) -> None:
     ip = ctypes.c_int64
-    lib.repro_node.restype = ctypes.c_int64
-    lib.repro_node.argtypes = [
-        ctypes.POINTER(Ctx),  # ctx
-        ctypes.c_void_p,      # order
-        ip,                   # stride
-        ip,                   # k
-        ctypes.c_void_p,      # feats
-        ip,                   # m
-        ctypes.c_void_p,      # childbuf
+    lib.repro_grow_tree.restype = ctypes.c_int64
+    lib.repro_grow_tree.argtypes = [
+        ctypes.c_void_p,  # XT
+        ctypes.c_void_p,  # y
+        ctypes.c_void_p,  # order
+        ip,               # n
+        ip,               # d
+        ip,               # m
+        ip,               # min_samples_leaf
+        ip,               # min_samples_split
+        ip,               # max_depth (-1: none)
+        ctypes.c_void_p,  # bitgen
+        ctypes.c_void_p,  # ddot
+        ip,               # ddot_ilp64
+        ctypes.c_void_p,  # inodes
+        ctypes.c_void_p,  # fnodes
+        ip,               # cap
     ]
     lib.repro_traverse.restype = None
     lib.repro_traverse.argtypes = [
@@ -74,6 +117,75 @@ def _configure(lib: ctypes.CDLL) -> None:
         ip,               # T
         ctypes.c_void_p,  # out
     ]
+    lib.repro_sum.restype = ctypes.c_double
+    lib.repro_sum.argtypes = [ctypes.c_void_p, ip]
+    lib.repro_sumsq.restype = ctypes.c_double
+    lib.repro_sumsq.argtypes = [ctypes.c_void_p, ip, ctypes.c_void_p, ip]
+    lib.repro_choice.restype = None
+    lib.repro_choice.argtypes = [
+        ctypes.c_void_p, ip, ip, ctypes.c_void_p, ctypes.c_void_p,
+    ]
+
+
+def _resolve_ddot() -> "tuple[int, bool] | None":
+    """Address of the ``cblas_ddot`` numpy's ``np.dot`` calls, if found.
+
+    Looking the symbol up through numpy's extension module searches its
+    dependencies too, which is where a bundled BLAS lives.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for name, ilp64 in _DDOT_SYMBOLS:
+        if hasattr(lib, name):
+            return ctypes.cast(getattr(lib, name), ctypes.c_void_p).value, ilp64
+    return None
+
+
+def _same_bits(a, b) -> bool:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _probe(kernel: Kernel) -> bool:
+    """Whether the kernel's sum, ddot and draw match numpy bit for bit.
+
+    The lengths cover every branch of the pairwise sum (below 8, the
+    8-accumulator block, the recursive halving) and one array longer than
+    numpy's 8192-element reduction buffer; the draws cover Floyd's
+    algorithm and the tail shuffle, and must leave the two generators in
+    the same state.
+    """
+    a = np.random.default_rng(0x5EED).normal(size=9000)
+    a[::7] *= 1e6  # mixed magnitudes, so association shows in the rounding
+    lengths = (1, 2, 7, 8, 9, 16, 23, 128, 129, 200, 385, 1000, 9000)
+    sums = [kernel.sum(a[:k]) for k in lengths]
+    sqs = [kernel.sumsq(a[:k]) for k in lengths]
+    if not _same_bits(sums, [np.add.reduce(a[:k]) for k in lengths]):
+        return False
+    if not _same_bits(sqs, [np.dot(a[:k], a[:k]) for k in lengths]):
+        return False
+    ours = np.random.default_rng(7)
+    theirs = np.random.default_rng(7)
+    for d, m in ((2, 1), (7, 2), (20, 13), (97, 30), (10050, 400)):
+        drawn = kernel.choice(ours, d, m)
+        if not np.array_equal(drawn, theirs.choice(d, size=m, replace=False)):
+            return False
+    return ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _verified(lib: ctypes.CDLL) -> "Kernel | None":
+    ddot = _resolve_ddot()
+    if ddot is None:
+        return None
+    kernel = Kernel(lib, *ddot)
+    return kernel if _probe(kernel) else None
 
 
 def _build(so_path: Path) -> None:
@@ -84,7 +196,7 @@ def _build(so_path: Path) -> None:
     for compiler in ("cc", "gcc", "clang"):
         try:
             subprocess.run(
-                [compiler, *_CFLAGS, "-o", str(tmp), str(_SOURCE)],
+                [compiler, *_CFLAGS, "-o", str(tmp), str(_SOURCE), *_LDLIBS],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -97,8 +209,8 @@ def _build(so_path: Path) -> None:
     raise RuntimeError("no working C compiler found")
 
 
-def load() -> "ctypes.CDLL | None":
-    """Return the configured kernel library, or ``None`` when unavailable."""
+def load() -> "Kernel | None":
+    """Return the verified kernel, or ``None`` when unavailable."""
     global _lib, _attempted
     if _attempted:
         return _lib
@@ -112,7 +224,8 @@ def load() -> "ctypes.CDLL | None":
         source = _SOURCE.read_text()
     except OSError:
         return None
-    tag = hashlib.sha256((source + " ".join(_CFLAGS)).encode()).hexdigest()[:16]
+    flags = " ".join(_CFLAGS + _LDLIBS)
+    tag = hashlib.sha256((source + flags).encode()).hexdigest()[:16]
     candidates = (
         Path(__file__).parent / "_cbuild",
         Path(tempfile.gettempdir()) / "repro-cbuild",
@@ -124,10 +237,10 @@ def load() -> "ctypes.CDLL | None":
                 _build(so_path)
             lib = ctypes.CDLL(str(so_path))
             _configure(lib)
-            # repro: allow[SPAWN001] per-process ctypes handle; processes never share it
-            _lib = lib
-            return _lib
         # repro: allow[EXC001] fall through to the next build candidate; total failure means the numpy fallback
         except Exception:
             continue
+        # repro: allow[SPAWN001] per-process ctypes handle; processes never share it
+        _lib = _verified(lib)
+        return _lib
     return None

@@ -1,45 +1,53 @@
-/* Optional C hot path for presorted CART growth.
+/* Optional C hot path for presorted CART growth and packed traversal.
  *
  * Compiled on demand by repro/forest/_cgrower.py (plain `cc -shared`, no
- * Python headers needed) and driven through ctypes from
- * RegressionTree._grow_presorted.  The kernel only performs comparisons,
- * sequential prefix sums, and elementwise double arithmetic written in the
- * exact operand order of the numpy reference implementation
- * (repro/forest/splitter.py), so its results are bit-identical:
+ * Python headers needed) and driven through ctypes.  repro_grow_tree grows
+ * a whole tree in one call and must produce the same bits as the numpy
+ * growers in repro/forest/tree.py: the same node arrays and the same RNG
+ * state afterwards.  It reproduces each numpy behaviour those growers
+ * depend on, and _cgrower.load() checks the reproductions against numpy
+ * before it hands the kernel out:
  *
- *  - prefix sums run left-to-right exactly like np.cumsum (which is a
- *    strict sequential fold, never pairwise);
- *  - the combined-SSE expression evaluates each elementwise operation in
- *    the same order as the reference ufunc chain, and the build flags
- *    forbid FMA contraction (-ffp-contract=off) so no two operations are
- *    fused into a differently-rounded one;
- *  - the argmin scan visits candidates position-major (position, then
- *    feature column) and keeps the first minimum, matching np.argmin over
- *    the reference (n_candidates, m) layout, including tie-breaks.
- *
- * Anything whose bit pattern depends on numpy internals that C cannot
- * cheaply replicate stays in Python: per-node target sums (np.sum's
- * pairwise/SIMD association, np.dot's BLAS kernel), the RNG feature draws,
- * and the final gain test (x ** 2 is not always x * x).  The kernel
- * therefore reports the winning column's sequential totals back to Python,
- * which makes the gain decision; the partition is performed optimistically
- * in the same call (its output is simply discarded on a failed gain test,
- * which costs nothing but a little wasted work on would-be leaves).
+ *  - node target sums are numpy's pairwise summation (np.add.reduce);
+ *  - node sums of squares call the very cblas_ddot numpy's np.dot calls,
+ *    passed in as a function pointer, because its rounding depends on the
+ *    CPU kernel the BLAS picks;
+ *  - feature draws replay Generator.choice(d, size=m, replace=False) on
+ *    the generator's own bitgen_t;
+ *  - prefix sums run left-to-right exactly like np.cumsum, the combined-SSE
+ *    expression evaluates in the reference ufunc chain's operand order, and
+ *    the build flags forbid FMA contraction (-ffp-contract=off);
+ *  - the argmin scan visits candidates position-major and keeps the first
+ *    minimum, matching np.argmin over the reference (n_candidates, m)
+ *    block, tie-breaks included;
+ *  - the gain test squares with libm pow, as Python's float ** 2 does
+ *    (pow is not always x * x), with the exponent read at run time so the
+ *    compiler cannot fold it into a multiplication.
  */
 
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 typedef int64_t ip; /* numpy intp on LP64 platforms */
 
+/* numpy/random/bitgen.h */
 typedef struct {
-    const double *XT;      /* (d, n) row-major: XT[f*n + i] = X[i, f] */
-    const double *y;       /* (n,) training targets */
-    unsigned char *inleft; /* (n,) zeroed scratch for stable partitioning */
-    double *out_d;         /* [threshold, best_combined, total_sum, total_sq] */
-    ip d;                  /* number of features (order has d+1 rows) */
-    ip n;                  /* full training-sample size */
-    ip msl;                /* min_samples_leaf */
-} repro_ctx;
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* cblas_ddot with 64-bit (ILP64) or 32-bit (LP64) integer arguments. */
+typedef double (*ddot64_t)(int64_t, const double *, int64_t, const double *,
+                           int64_t);
+typedef double (*ddot32_t)(int32_t, const double *, int32_t, const double *,
+                           int32_t);
+
+static volatile double square_exponent = 2.0;
 
 /* Packed-forest traversal: route every (tree, row) lane to its leaf.
  *
@@ -70,132 +78,322 @@ void repro_traverse(const ip *feature, const double *threshold,
     }
 }
 
-/* Best-split search + stable partition for one node.
- *
- * `order` holds d+1 rows of `stride` elements each; row f lists the node's
- * k sample indices in ascending X[:, f] order, and row d lists them in
- * ascending-id order.  `feats` selects the m candidate rows.
- *
- * Returns -1 when no value-boundary candidate exists.  Otherwise fills
- * ctx->out_d, and returns (feature << 32) | n_left where n_left counts
- * X[:, feature] <= threshold over the node.  When 0 < n_left < k each row
- * of `childbuf` (row stride k) is written as [left block | right block],
- * preserving within-row order; degenerate masks leave childbuf untouched.
- */
-long repro_node(const repro_ctx *ctx, const ip *order, ip stride, ip k,
-                const ip *feats, ip m, ip *childbuf)
+/* numpy's DOUBLE_pairwise_sum over a unit-stride block. */
+static double pairwise_sum(const double *a, ip n)
 {
-    const double *XT = ctx->XT;
-    const double *y = ctx->y;
-    const ip n = ctx->n;
-    const ip lo = ctx->msl;
-    const ip hi = k - ctx->msl;
-    int found = 0;
-    double best = 0.0;
-    ip best_pos = 0;
-    ip best_col = 0;
-    double best_tot_s = 0.0;
-    double best_tot_q = 0.0;
+    if (n < 8) {
+        double res = -0.0;
+        for (ip i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        ip i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    /* Halve, rounding the split point down to a multiple of 8. */
+    ip n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
 
-    for (ip col = 0; col < m; col++) {
-        const ip f = feats[col];
-        const ip *ordf = order + f * stride;
-        const double *Xf = XT + f * n;
+/* np.add.reduce(a): the reduction starts from the identity 0.0. */
+double repro_sum(const double *a, ip n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
 
-        /* Sequential totals == csum[-1]/csq[-1] of the reference. */
-        double tot_s = 0.0;
-        double tot_q = 0.0;
-        for (ip i = 0; i < k; i++) {
-            const double yv = y[ordf[i]];
-            const double sq = yv * yv;
-            tot_s = tot_s + yv;
-            tot_q = tot_q + sq;
-        }
+/* np.dot(a, a) for a 1-D array: one element is a plain product (numpy's
+ * scalar shortcut), anything longer is 0.0 + cblas_ddot. */
+double repro_sumsq(const void *ddot, ip ilp64, const double *a, ip n)
+{
+    if (n == 1)
+        return a[0] * a[0];
+    if (ilp64)
+        return 0.0 + ((ddot64_t)ddot)(n, a, 1, a, 1);
+    return 0.0 + ((ddot32_t)ddot)((int32_t)n, a, 1, a, 1);
+}
 
-        /* Stream the prefixes; candidate split position i keeps the first
-         * i sorted samples on the left and is valid only where the sorted
-         * feature value changes. */
-        double acc_s = 0.0;
-        double acc_q = 0.0;
-        for (ip i = 1; i <= hi; i++) {
-            const double yv = y[ordf[i - 1]];
-            const double sq = yv * yv;
-            acc_s = acc_s + yv;
-            acc_q = acc_q + sq;
-            if (i < lo)
-                continue;
-            const double f_lo = Xf[ordf[i - 1]];
-            const double f_hi = Xf[ordf[i]];
-            if (f_hi == f_lo)
-                continue;
-            /* combined = (q_l - s_l*s_l/n_l) + (q_r - s_r*s_r/n_r),
-             * evaluated in the reference's exact operation order. */
-            const double nl = (double)i;
-            const double nr = (double)k - nl;
-            double t = acc_s * acc_s;
-            t = t / nl;
-            const double left_sse = acc_q - t;
-            const double sr = tot_s - acc_s;
-            double u = sr * sr;
-            u = u / nr;
-            const double qr = tot_q - acc_q;
-            const double right_sse = qr - u;
-            const double comb = left_sse + right_sse;
-            const ip pos = i - lo;
-            /* First minimum in (position, column) order == np.argmin over
-             * the reference (n_candidates, m) block. */
-            if (!found || comb < best || (comb == best && pos < best_pos)) {
-                found = 1;
-                best = comb;
-                best_pos = pos;
-                best_col = col;
-                best_tot_s = tot_s;
-                best_tot_q = tot_q;
-            }
+/* random_bounded_uint64(bitgen, 0, rng, 0, 0): a draw from [0, rng] by
+ * Lemire's multiply-and-reject on next_uint32 (numpy/random/src/
+ * distributions/distributions.c).  rng < 2**32 always holds here. */
+static ip bounded(bitgen_t *bg, uint64_t rng)
+{
+    if (rng == 0)
+        return 0;
+    if (rng == 0xFFFFFFFFULL)
+        return (ip)bg->next_uint32(bg->state);
+    const uint32_t rng_excl = (uint32_t)rng + 1;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+            leftover = (uint32_t)m;
         }
     }
-    if (!found)
-        return -1;
+    return (ip)(m >> 32);
+}
 
-    const ip f = feats[best_col];
-    const ip *ordf = order + f * stride;
-    const double *Xf = XT + f * n;
-    const ip split_i = lo + best_pos;
-    const double lo_val = Xf[ordf[split_i - 1]];
-    const double hi_val = Xf[ordf[split_i]];
-    double thr = 0.5 * (lo_val + hi_val);
-    /* Midpoints of adjacent floats can collapse onto the upper value; the
-     * left side must satisfy value <= thr < upper value. */
-    if (!(lo_val <= thr && thr < hi_val))
-        thr = lo_val;
-    ctx->out_d[0] = thr;
-    ctx->out_d[1] = best;
-    ctx->out_d[2] = best_tot_s;
-    ctx->out_d[3] = best_tot_q;
+/* Generator.choice(d, size=m, replace=False) into out[0..m).
+ *
+ * numpy/random/_generator.pyx: a large population with a large sample
+ * shuffles the tail of arange(d); otherwise Floyd's algorithm picks the
+ * set and a Fisher-Yates pass shuffles it.  `out` must hold d entries and
+ * `seen` d zeroed bytes (left zeroed on return).
+ */
+void repro_choice(bitgen_t *bg, ip d, ip m, ip *out, unsigned char *seen)
+{
+    if (d > 10000 && m > d / 50) {
+        for (ip i = 0; i < d; i++)
+            out[i] = i;
+        const ip first = d - m > 1 ? d - m : 1;
+        for (ip i = d - 1; i >= first; i--) {
+            const ip j = bounded(bg, (uint64_t)i);
+            const ip t = out[j];
+            out[j] = out[i];
+            out[i] = t;
+        }
+        memmove(out, out + (d - m), (size_t)m * sizeof(ip));
+        return;
+    }
+    for (ip j = d - m; j < d; j++) {
+        ip val = bounded(bg, (uint64_t)j);
+        if (seen[val])
+            val = j; /* every earlier pick is < j, so j is free */
+        seen[val] = 1;
+        out[j - d + m] = val;
+    }
+    for (ip i = 0; i < m; i++)
+        seen[out[i]] = 0;
+    for (ip i = m - 1; i >= 1; i--) {
+        const ip j = bounded(bg, (uint64_t)i);
+        const ip t = out[j];
+        out[j] = out[i];
+        out[i] = t;
+    }
+}
 
-    const ip *idx = order + ctx->d * stride; /* row d: ascending sample ids */
-    ip n_left = 0;
-    for (ip i = 0; i < k; i++)
-        n_left += (Xf[idx[i]] <= thr);
-    if (n_left > 0 && n_left < k) {
-        unsigned char *inleft = ctx->inleft;
+typedef struct {
+    ip node, start, k, depth;
+} frame;
+
+/* Grow one presorted CART tree depth-first.
+ *
+ * `XT` is the (d, n) transposed training matrix and `y` its targets.
+ * `order` holds d+1 rows of n sample ids: row f in ascending X[:, f]
+ * order (stable), row d ascending.  Each node owns the same segment
+ * [start, start+k) of every row, and a split partitions that segment in
+ * place, stably, into [left | right], so the rows stay sorted within each
+ * child.  `bg` is the tree's bit generator (used only when m < d).
+ *
+ * Node arrays go to two (4, cap) blocks, cap >= 2n-1: `inodes` rows are
+ * feature, left, right, count and `fnodes` rows are threshold, value,
+ * variance, impurity.  Node ids follow the reference grower: children get
+ * the next two ids when their parent splits, and the right child is grown
+ * first.  Returns the node count, or -1 if scratch allocation fails.
+ */
+ip repro_grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
+                   ip m, ip msl, ip mss, ip max_depth, bitgen_t *bg,
+                   const void *ddot, ip ilp64, ip *inodes, double *fnodes,
+                   ip cap)
+{
+    ip *feature = inodes, *left = inodes + cap, *right = inodes + 2 * cap;
+    ip *count = inodes + 3 * cap;
+    double *threshold = fnodes, *value = fnodes + cap;
+    double *variance = fnodes + 2 * cap, *impurity = fnodes + 3 * cap;
+
+    double *ybuf = malloc((size_t)n * sizeof(double));
+    ip *tmp = malloc((size_t)n * sizeof(ip));
+    frame *stack = malloc((size_t)n * sizeof(frame));
+    ip *feats = malloc(((size_t)d + 1) * sizeof(ip));
+    unsigned char *inleft = calloc((size_t)n, 1);
+    unsigned char *seen = calloc((size_t)d + 1, 1);
+    ip n_nodes = -1;
+    if (!ybuf || !tmp || !stack || !feats || !inleft || !seen)
+        goto done;
+    if (m >= d) {
+        m = d;
+        for (ip f = 0; f < d; f++)
+            feats[f] = f;
+    }
+
+    feature[0] = left[0] = right[0] = -1;
+    threshold[0] = 0.0;
+    n_nodes = 1;
+    ip sp = 0;
+    stack[sp++] = (frame){0, 0, n, 0};
+    while (sp > 0) {
+        const frame fr = stack[--sp];
+        const ip node = fr.node, start = fr.start, k = fr.k;
+        const ip *idx = order + d * n + start; /* ascending sample ids */
+
         for (ip i = 0; i < k; i++)
-            inleft[idx[i]] = (Xf[idx[i]] <= thr);
-        const ip rows = ctx->d + 1;
-        for (ip r = 0; r < rows; r++) {
-            const ip *src = order + r * stride;
-            ip *dstl = childbuf + r * k;
-            ip *dstr = dstl + n_left;
+            ybuf[i] = y[idx[i]];
+        const double s = repro_sum(ybuf, k);
+        const double q = repro_sumsq(ddot, ilp64, ybuf, k);
+        const double mean = s / (double)k;
+        value[node] = mean;
+        const double var = q / (double)k - mean * mean;
+        variance[node] = var > 0.0 ? var : 0.0;
+        count[node] = k;
+        double imp = q - s * s / (double)k;
+        if (imp < 0.0)
+            imp = 0.0;
+        impurity[node] = imp;
+
+        if (k < mss || (max_depth >= 0 && fr.depth >= max_depth) ||
+            imp <= 1e-12)
+            continue;
+        if (m < d)
+            repro_choice(bg, d, m, feats, seen);
+        if (2 * msl > k)
+            continue;
+
+        /* Best split over the candidate rows. */
+        const ip lo = msl;
+        const ip hi = k - msl;
+        int found = 0;
+        double best = 0.0;
+        ip best_pos = 0, best_col = 0;
+        double best_tot_s = 0.0, best_tot_q = 0.0;
+        for (ip col = 0; col < m; col++) {
+            const ip f = feats[col];
+            const ip *ordf = order + f * n + start;
+            const double *Xf = XT + f * n;
+
+            /* Sequential totals == csum[-1]/csq[-1] of the reference. */
+            double tot_s = 0.0;
+            double tot_q = 0.0;
             for (ip i = 0; i < k; i++) {
-                const ip v = src[i];
-                if (inleft[v])
-                    *dstl++ = v;
-                else
-                    *dstr++ = v;
+                const double yv = y[ordf[i]];
+                const double sq = yv * yv;
+                tot_s = tot_s + yv;
+                tot_q = tot_q + sq;
+            }
+
+            /* Stream the prefixes; candidate split position i keeps the
+             * first i sorted samples on the left and is valid only where
+             * the sorted feature value changes. */
+            double acc_s = 0.0;
+            double acc_q = 0.0;
+            for (ip i = 1; i <= hi; i++) {
+                const double yv = y[ordf[i - 1]];
+                const double sq = yv * yv;
+                acc_s = acc_s + yv;
+                acc_q = acc_q + sq;
+                if (i < lo)
+                    continue;
+                const double f_lo = Xf[ordf[i - 1]];
+                const double f_hi = Xf[ordf[i]];
+                if (f_hi == f_lo)
+                    continue;
+                /* combined = (q_l - s_l*s_l/n_l) + (q_r - s_r*s_r/n_r),
+                 * evaluated in the reference's exact operation order. */
+                const double nl = (double)i;
+                const double nr = (double)k - nl;
+                double t = acc_s * acc_s;
+                t = t / nl;
+                const double left_sse = acc_q - t;
+                const double sr = tot_s - acc_s;
+                double u = sr * sr;
+                u = u / nr;
+                const double qr = tot_q - acc_q;
+                const double right_sse = qr - u;
+                const double comb = left_sse + right_sse;
+                const ip pos = i - lo;
+                /* First minimum in (position, column) order == np.argmin
+                 * over the reference (n_candidates, m) block. */
+                if (!found || comb < best || (comb == best && pos < best_pos)) {
+                    found = 1;
+                    best = comb;
+                    best_pos = pos;
+                    best_col = col;
+                    best_tot_s = tot_s;
+                    best_tot_q = tot_q;
+                }
             }
         }
-        for (ip i = 0; i < k; i++)
+        if (!found)
+            continue;
+        /* Gain test: node_sse = total_sq - total_sum ** 2 / k. */
+        const double node_sse =
+            best_tot_q - pow(fabs(best_tot_s), square_exponent) / (double)k;
+        if (node_sse - best <= 1e-12)
+            continue;
+
+        const ip f = feats[best_col];
+        const ip *ordf = order + f * n + start;
+        const double *Xf = XT + f * n;
+        const ip split_i = lo + best_pos;
+        const double lo_val = Xf[ordf[split_i - 1]];
+        const double hi_val = Xf[ordf[split_i]];
+        double thr = 0.5 * (lo_val + hi_val);
+        /* Midpoints of adjacent floats can collapse onto the upper value;
+         * the left side must satisfy value <= thr < upper value. */
+        if (!(lo_val <= thr && thr < hi_val))
+            thr = lo_val;
+        ip n_left = 0;
+        for (ip i = 0; i < k; i++) {
+            inleft[idx[i]] = (Xf[idx[i]] <= thr);
+            n_left += inleft[idx[i]];
+        }
+        /* Mirrors best_split's degenerate-threshold guard. */
+        if (n_left == 0 || n_left == k) {
+            for (ip i = 0; i < k; i++)
+                inleft[idx[i]] = 0;
+            continue;
+        }
+
+        feature[node] = f;
+        threshold[node] = thr;
+        const ip li = n_nodes;
+        n_nodes += 2;
+        for (ip c = li; c < n_nodes; c++) {
+            feature[c] = left[c] = right[c] = -1;
+            threshold[c] = 0.0;
+        }
+        left[node] = li;
+        right[node] = li + 1;
+
+        for (ip r = 0; r <= d; r++) {
+            ip *seg = order + r * n + start;
+            ip *dst = seg;
+            ip n_right = 0;
+            for (ip i = 0; i < k; i++) {
+                const ip v = seg[i];
+                if (inleft[v])
+                    *dst++ = v;
+                else
+                    tmp[n_right++] = v;
+            }
+            memcpy(dst, tmp, (size_t)n_right * sizeof(ip));
+        }
+        /* Row d is partitioned now, so its left block lists the left ids. */
+        for (ip i = 0; i < n_left; i++)
             inleft[idx[i]] = 0;
+
+        stack[sp++] = (frame){li, start, n_left, fr.depth + 1};
+        stack[sp++] = (frame){li + 1, start + n_left, k - n_left, fr.depth + 1};
     }
-    return (f << 32) | n_left;
+
+done:
+    free(ybuf);
+    free(tmp);
+    free(stack);
+    free(feats);
+    free(inleft);
+    free(seen);
+    return n_nodes;
 }

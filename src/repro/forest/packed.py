@@ -173,13 +173,13 @@ class PackedForest:
             return self._descend_inner(X, roots)
 
     def _descend_inner(self, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
-        lib = _cgrower.load()
-        if lib is not None:
+        kernel = _cgrower.load()
+        if kernel is not None:
             T = len(roots)
             Xc = np.ascontiguousarray(X)
             roots_c = np.ascontiguousarray(roots, dtype=np.intp)
             out = np.empty((T, Xc.shape[0]), dtype=np.intp)
-            lib.repro_traverse(
+            kernel.traverse(
                 self.feature.ctypes.data, self.threshold.ctypes.data,
                 self.left.ctypes.data, self.right.ctypes.data,
                 Xc.ctypes.data, Xc.shape[0], Xc.shape[1],

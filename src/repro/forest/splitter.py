@@ -7,18 +7,10 @@ criterion picks the threshold minimising
 
 Using prefix sums of ``y`` and ``y^2`` over the feature-sorted node this is
 :math:`SSE = \\sum y^2 - (\\sum y)^2 / n` per side.  The search is fully
-vectorised *across candidate features as well as thresholds* and comes in
-two entry points sharing one prefix-sum core:
-
-* :func:`best_split` — argsorts the ``(n, m)`` candidate block per call.
-  This is the reference implementation (kept for trace-equivalence testing
-  and for callers without presorted state).
-* :func:`best_split_presorted` — consumes per-feature index rows that the
-  tree grower argsorted *once per tree* and maintains through stable
-  partitioning, so the per-node cost drops from ``O(n m log n)`` to the
-  ``O(n m)`` gather + prefix-sum sweep.  Both produce bit-identical splits:
-  the sorted value/target sequences they feed the core are element-for-
-  element equal (stable ties broken by ascending sample index in both).
+vectorised *across candidate features as well as thresholds*.
+:func:`best_split` argsorts the ``(n, m)`` candidate block per call; it is
+the reference the presorted growers in :mod:`repro.forest.tree` are held
+to, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Split", "PresortSplit", "best_split", "best_split_presorted", "sse"]
+__all__ = ["Split", "best_split", "sse"]
 
 #: Gains below this are treated as numerical noise, not real splits.
 _MIN_GAIN = 1e-12
@@ -40,18 +32,6 @@ class Split(NamedTuple):
     threshold: float
     gain: float  # SSE reduction achieved by the split (>= 0)
     left_mask: np.ndarray  # boolean mask over the node's samples
-
-
-class PresortSplit(NamedTuple):
-    """A split found by :func:`best_split_presorted`.
-
-    Carries no membership mask: the caller owns the sample bookkeeping and
-    partitions its index arrays itself (``X[:, feature] <= threshold``).
-    """
-
-    feature: int
-    threshold: float
-    gain: float
 
 
 def sse(y: np.ndarray) -> float:
@@ -156,43 +136,3 @@ def best_split(
     if not left_mask.any() or left_mask.all():
         return None
     return Split(feature, threshold, gain, left_mask)
-
-
-def best_split_presorted(
-    X: np.ndarray,
-    y: np.ndarray,
-    sorted_idx: np.ndarray,
-    feature_indices: np.ndarray,
-    min_samples_leaf: int = 1,
-) -> PresortSplit | None:
-    """Split search over presorted per-feature index rows (no argsort).
-
-    Parameters
-    ----------
-    X, y:
-        The tree's *full* training sample; ``sorted_idx`` entries index
-        into these.
-    sorted_idx:
-        ``(n_features, k)`` — row ``f`` lists the node's ``k`` sample
-        indices in ascending ``X[:, f]`` order, ties broken by ascending
-        index (what a stable argsort of the full sample produces and
-        stable partitioning preserves).
-    feature_indices:
-        Candidate features for this node (rows of ``sorted_idx`` to search).
-    """
-    feats = np.asarray(feature_indices, dtype=np.intp)
-    k = sorted_idx.shape[1]
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be >= 1")
-    if k < 2 * min_samples_leaf or k < 2 or len(feats) == 0:
-        return None
-
-    sub = sorted_idx[feats]  # (m, k) sample indices, feature-major
-    Fs = X[sub.T, feats[None, :]]  # (k, m) sorted feature values
-    Ys = y[sub.T]  # (k, m) targets in per-feature sorted order
-
-    hit = _search_sorted_block(Fs, Ys, min_samples_leaf)
-    if hit is None:
-        return None
-    col, threshold, gain = hit
-    return PresortSplit(int(feats[col]), threshold, gain)

@@ -8,18 +8,19 @@ Growth comes in two trace-equivalent flavours selected by ``presort``:
 
 * ``presort=True`` (default) argsorts each feature of the training sample
   *once per tree* and maintains per-feature sorted index rows through
-  stable mask-partitioning at every split, so each node pays only a gather
-  and a prefix-sum sweep (:func:`~repro.forest.splitter.best_split_presorted`).
+  stable partitioning at every split, so each node pays only a gather and
+  a prefix-sum sweep.  The whole tree grows in one call to the C kernel
+  (:mod:`repro.forest._cgrower`) when it is available, and in a fused
+  numpy loop otherwise.
 * ``presort=False`` is the reference grower: a fresh ``(n, m)`` argsort per
   node (:func:`~repro.forest.splitter.best_split`).
 
-Both consume the node RNG identically and produce bit-identical trees —
-the trace-equivalence suite (``tests/test_trace_equivalence.py``) pins this.
+All of them consume the node RNG identically and produce bit-identical
+trees — the trace-equivalence suite (``tests/test_trace_equivalence.py``)
+pins this.
 """
 
 from __future__ import annotations
-
-import ctypes
 
 import numpy as np
 
@@ -106,6 +107,8 @@ class RegressionTree:
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        if y.ndim != 1:
+            raise ValueError(f"y must be 1-D, got shape {y.shape}")
         if len(X) != len(y):
             raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
         if len(X) == 0:
@@ -115,9 +118,69 @@ class RegressionTree:
 
         n, d = X.shape
         m = self._n_split_features(d)
-        presort = self.presort
+        kernel = _cgrower.load() if self.presort else None
+        if kernel is not None:
+            nodes = self._grow_presorted_c(kernel, X, y, n, d, m)
+        else:
+            nodes = self._grow_lists(X, y, n, d, m)
+        self.n_features_ = d
+        (
+            self.feature_,
+            self.threshold_,
+            self.left_,
+            self.right_,
+            self.value_,
+            self.variance_,
+            self.count_,
+            self.impurity_,
+        ) = nodes
+        self._fitted = True
+        return self
 
-        # Growable flat node storage.
+    def _grow_presorted_c(self, kernel, X, y, n, d, m) -> tuple:
+        """Presorted growth of the whole tree in one C kernel call.
+
+        Python keeps only the per-tree set-up: the transposed sample, one
+        stable argsort per feature (plus the ascending-id row), the node
+        buffers, and the generator's ``bitgen_t``.  The kernel
+        (``_grower.c``) runs the depth-first growth, reproducing the numpy
+        behaviours the reference depends on; :func:`_cgrower.load` has
+        checked them against numpy, so the node arrays and the RNG state
+        afterwards are bit-identical to the numpy growers'.
+        """
+        XT = np.ascontiguousarray(X.T)
+        y = np.ascontiguousarray(y)
+        order = np.concatenate(
+            [
+                np.argsort(XT, axis=1, kind="stable"),
+                np.arange(n, dtype=np.intp)[None, :],
+            ]
+        )
+        cap = 2 * n - 1  # a binary tree with at most n leaves
+        inodes = np.empty((4, cap), dtype=np.intp)
+        fnodes = np.empty((4, cap), dtype=np.float64)
+        max_depth = -1 if self.max_depth is None else self.max_depth
+        bitgen = self.rng.bit_generator
+        with bitgen.lock:  # the kernel draws from the generator's state
+            n_nodes = kernel.grow_tree(
+                XT.ctypes.data, y.ctypes.data, order.ctypes.data,
+                n, d, m, self.min_samples_leaf, self.min_samples_split,
+                max_depth, bitgen.ctypes.bit_generator,
+                kernel.ddot, kernel.ddot_ilp64,
+                inodes.ctypes.data, fnodes.ctypes.data, cap,
+            )
+        if n_nodes < 0:
+            raise MemoryError("tree-growth scratch allocation failed")
+        feature, left, right, count = inodes[:, :n_nodes].copy()
+        threshold, value, variance, impurity = fnodes[:, :n_nodes].copy()
+        return feature, threshold, left, right, value, variance, count, impurity
+
+    def _grow_lists(self, X, y, n, d, m) -> tuple:
+        """Grow with a Python-driven loop into growable node lists.
+
+        Runs the presorted numpy grower, or the reference grower when
+        ``presort=False``.
+        """
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -139,8 +202,8 @@ class RegressionTree:
             return len(feature) - 1
 
         root = new_node()
-        if presort:
-            self._grow_presorted(
+        if self.presort:
+            self._grow_presorted_numpy(
                 X, y, n, d, m, feature, threshold, left, right,
                 value, variance, count, impurity, new_node,
             )
@@ -185,202 +248,16 @@ class RegressionTree:
                 stack.append((li, idx[split.left_mask], depth + 1))
                 stack.append((ri, idx[~split.left_mask], depth + 1))
 
-        self.n_features_ = d
-        self.feature_ = np.asarray(feature, dtype=np.intp)
-        self.threshold_ = np.asarray(threshold, dtype=np.float64)
-        self.left_ = np.asarray(left, dtype=np.intp)
-        self.right_ = np.asarray(right, dtype=np.intp)
-        self.value_ = np.asarray(value, dtype=np.float64)
-        self.variance_ = np.asarray(variance, dtype=np.float64)
-        self.count_ = np.asarray(count, dtype=np.intp)
-        self.impurity_ = np.asarray(impurity, dtype=np.float64)
-        self._fitted = True
-        return self
-
-    def _grow_presorted(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        n: int,
-        d: int,
-        m: int,
-        feature: list,
-        threshold: list,
-        left: list,
-        right: list,
-        value: list,
-        variance: list,
-        count: list,
-        impurity: list,
-        new_node,
-    ) -> None:
-        """Presorted DFS growth — the hot path of forest construction.
-
-        Dispatches to the C split kernel when available (built on demand by
-        :mod:`repro.forest._cgrower`) and otherwise to the fused numpy
-        loop.  Both are trace-equivalent to the reference branch of
-        :meth:`fit`: same RNG calls in the same order, bit-identical node
-        arrays.
-        """
-        lib = _cgrower.load()
-        if lib is not None:
-            self._grow_presorted_c(
-                lib, X, y, n, d, m, feature, threshold, left, right,
-                value, variance, count, impurity, new_node,
-            )
-        else:
-            self._grow_presorted_numpy(
-                X, y, n, d, m, feature, threshold, left, right,
-                value, variance, count, impurity, new_node,
-            )
-
-    def _grow_presorted_c(
-        self,
-        lib,
-        X: np.ndarray,
-        y: np.ndarray,
-        n: int,
-        d: int,
-        m: int,
-        feature: list,
-        threshold: list,
-        left: list,
-        right: list,
-        value: list,
-        variance: list,
-        count: list,
-        impurity: list,
-        new_node,
-    ) -> None:
-        """Presorted growth driven by the C split kernel.
-
-        Per node, Python keeps exactly the work whose bit pattern depends
-        on numpy internals the kernel cannot replicate — the target-sum
-        statistics (np.sum's pairwise association, np.dot's BLAS kernel),
-        the RNG feature draw, and the gain test (``float ** 2`` is not
-        always ``x * x``; Python and np.float64 pow do agree bit-for-bit)
-        — and hands the prefix-sum search plus the stable partition to a
-        single C call.  The partition is optimistic: on a failed gain test
-        its output is simply dropped.  ``childbuf`` rows come back packed
-        as ``[left block | right block]``, so the children are described by
-        raw base pointers carried on the stack as plain ints (avoiding
-        per-node ``.ctypes``/``.strides`` attribute costs); the ascending
-        index row (row ``d``) is kept as a real view, which also keeps the
-        buffer alive.
-        """
-        XT = np.ascontiguousarray(X.T)
-        y = np.ascontiguousarray(y)
-        order0 = np.concatenate(
-            [
-                np.argsort(XT, axis=1, kind="stable"),
-                np.arange(n, dtype=np.intp)[None, :],
-            ]
+        return (
+            np.asarray(feature, dtype=np.intp),
+            np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.intp),
+            np.asarray(right, dtype=np.intp),
+            np.asarray(value, dtype=np.float64),
+            np.asarray(variance, dtype=np.float64),
+            np.asarray(count, dtype=np.intp),
+            np.asarray(impurity, dtype=np.float64),
         )
-        inleft = np.zeros(n, dtype=np.uint8)
-        out_d = np.zeros(4, dtype=np.float64)
-        ctx = _cgrower.Ctx(
-            XT.ctypes.data, y.ctypes.data, inleft.ctypes.data,
-            out_d.ctypes.data, d, n, self.min_samples_leaf,
-        )
-        ctxref = ctypes.byref(ctx)
-        node_call = lib.repro_node
-        out_list = out_d.tolist
-        np_empty = np.empty
-        np_intp = np.intp
-        add_reduce = np.add.reduce
-        np_dot = np.dot
-        # Candidate features go through one fixed buffer so its raw pointer
-        # is computed once, not per node (.ctypes costs ~1.5us per access).
-        if m >= d:
-            featbuf = np.arange(d, dtype=np.intp)
-            draw = None  # all features, no RNG draw — matches the reference
-        else:
-            featbuf = np.empty(m, dtype=np.intp)
-            draw = self.rng.choice
-        fptr = featbuf.ctypes.data
-        msl2 = 2 * self.min_samples_leaf
-        mss = self.min_samples_split
-        max_depth = self.max_depth
-        dp1 = d + 1
-        f_app = feature.append
-        t_app = threshold.append
-        l_app = left.append
-        r_app = right.append
-        v_app = value.append
-        va_app = variance.append
-        c_app = count.append
-        i_app = impurity.append
-
-        stack = [(0, order0[d], order0.ctypes.data, n, 0)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            node, idx, ptr, stride, depth = pop()
-            y_node = y[idx]
-            k = y_node.shape[0]
-            s = float(add_reduce(y_node))
-            q = float(np_dot(y_node, y_node))
-            mean = s / k
-            value[node] = mean
-            var = q / k - mean * mean
-            variance[node] = var if var > 0.0 else 0.0
-            count[node] = k
-            imp = q - s * s / k
-            if imp < 0.0:
-                imp = 0.0
-            impurity[node] = imp
-
-            if (
-                k < mss
-                or (max_depth is not None and depth >= max_depth)
-                or imp <= 1e-12
-            ):
-                continue
-
-            if draw is not None:
-                featbuf[...] = draw(d, size=m, replace=False)
-            if msl2 > k:
-                continue
-            childbuf = np_empty((dp1, k), dtype=np_intp)
-            cptr = childbuf.ctypes.data
-            ret = node_call(ctxref, ptr, stride, k, fptr, m, cptr)
-            if ret < 0:
-                continue
-            # Gain test in Python: the reference computes the parent SSE as
-            # total_sq - total_sum ** 2 / n, and pow is not bit-identical
-            # to plain multiplication for every input.
-            thr, best, ts, tq = out_list()
-            node_sse = tq - ts**2 / k
-            if node_sse - best <= 1e-12:
-                continue
-            n_l = ret & 0xFFFFFFFF
-            # Mirrors best_split's degenerate-threshold guard.
-            if n_l == 0 or n_l == k:
-                continue
-            feature[node] = ret >> 32
-            threshold[node] = thr
-            li = len(feature)
-            f_app(_LEAF)
-            f_app(_LEAF)
-            t_app(0.0)
-            t_app(0.0)
-            l_app(_LEAF)
-            l_app(_LEAF)
-            r_app(_LEAF)
-            r_app(_LEAF)
-            v_app(0.0)
-            v_app(0.0)
-            va_app(0.0)
-            va_app(0.0)
-            c_app(0)
-            c_app(0)
-            i_app(0.0)
-            i_app(0.0)
-            left[node] = li
-            right[node] = li + 1
-            depth += 1
-            push((li, childbuf[d, :n_l], cptr, k, depth))
-            push((li + 1, childbuf[d, n_l:], cptr + 8 * n_l, k, depth))
 
     def _grow_presorted_numpy(
         self,

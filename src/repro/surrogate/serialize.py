@@ -125,6 +125,12 @@ def surrogate_from_payload(
             _EXPECTED,
             f"{kind!r} envelope is missing required key {exc.args[0]!r}",
         ) from None
+    except ValueError as exc:
+        if isinstance(exc, EnvelopeError):
+            raise
+        raise EnvelopeError(
+            source, _EXPECTED, f"corrupt {kind!r} envelope ({exc})"
+        ) from exc
 
 
 def load_surrogate(file) -> Surrogate:
@@ -134,9 +140,10 @@ def load_surrogate(file) -> Surrogate:
     envelope (plain :func:`~repro.forest.serialize.save_forest` output)
     load as forest surrogates.  The returned model predicts but holds no
     training data, so it cannot keep learning.  Unreadable files —
-    missing, truncated, not an npz archive, or missing schema keys —
-    raise a typed :class:`~repro.envelope.EnvelopeError` naming the file
-    and the expected schema.
+    missing, truncated, not an npz archive, missing schema keys, or
+    corrupt model arrays — raise a typed
+    :class:`~repro.envelope.EnvelopeError` naming the file and the
+    expected schema.
     """
     payload = read_npz_payload(file, _EXPECTED)
     return surrogate_from_payload(payload, source=describe_file(file))

@@ -120,3 +120,73 @@ class TestTypedEnvelopeErrors:
         from repro.envelope import EnvelopeError
 
         assert issubclass(EnvelopeError, ValueError)
+
+
+def _corrupt_left(payload, node):
+    payload["packed_left"][node] = 10**9
+
+
+def _corrupt_feature(payload, node):
+    payload["packed_feature"][node] = 10**6
+
+
+def _corrupt_self_loop(payload, node):
+    payload["packed_right"][node] = node
+
+
+class TestCorruptNodeArrays:
+    """Node arrays that would crash or hang a traversal are rejected at
+    load time with EnvelopeError, by every loader that reads them."""
+
+    @pytest.fixture(scope="class")
+    def zoo(self):
+        from repro.workloads.surrogate import zoo_dir
+
+        root = zoo_dir()
+        if root is None:
+            pytest.skip("committed distilled workloads not present")
+        return sorted(root.glob("*.npz"))
+
+    @pytest.mark.parametrize(
+        "corrupt", [_corrupt_left, _corrupt_feature, _corrupt_self_loop]
+    )
+    @pytest.mark.parametrize("loader", ["forest", "surrogate", "distilled"])
+    def test_rejected_by_every_loader(self, zoo, tmp_path, corrupt, loader):
+        from repro.envelope import EnvelopeError
+        from repro.surrogate import load_surrogate
+        from repro.workloads.surrogate import load_distilled
+
+        with np.load(zoo[0]) as data:
+            payload = {k: data[k].copy() for k in data.files}
+        node = int(np.flatnonzero(payload["packed_feature"] >= 0)[3])
+        corrupt(payload, node)
+        path = tmp_path / "corrupt.npz"
+        np.savez_compressed(path, **payload)
+        load = {
+            "forest": load_forest,
+            "surrogate": load_surrogate,
+            "distilled": load_distilled,
+        }[loader]
+        with pytest.raises(EnvelopeError) as err:
+            load(str(path))
+        assert str(path) in str(err.value)
+
+    def test_v1_payload_checked_too(self, fitted, tmp_path):
+        from repro.envelope import EnvelopeError
+        from repro.forest.serialize import _TREE_FIELDS
+
+        model, _ = fitted
+        payload = {
+            "format_version": np.asarray(1),
+            "n_trees": np.asarray(len(model.trees_)),
+            "n_features": np.asarray(model.trees_[0].n_features_),
+            "uncertainty": np.asarray(model.uncertainty),
+        }
+        for i, tree in enumerate(model.trees_):
+            for field in _TREE_FIELDS:
+                payload[f"tree{i}_{field}"] = getattr(tree, field).copy()
+        payload["tree0_left_"][0] = 0  # the root points at itself
+        path = tmp_path / "legacy.npz"
+        np.savez_compressed(path, **payload)
+        with pytest.raises(EnvelopeError, match="child"):
+            load_forest(str(path))

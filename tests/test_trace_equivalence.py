@@ -87,25 +87,68 @@ def _random_problem(seed, n=180, d=7):
     return X, y
 
 
+def _assert_same_growth(X, y, seed, **params):
+    """Presorted growth matches the reference: all node arrays, bit for bit,
+    and the RNG state afterwards."""
+    ra = np.random.default_rng(seed + 99)
+    rb = np.random.default_rng(seed + 99)
+    ref = RegressionTree(rng=ra, presort=False, **params).fit(X, y)
+    fast = RegressionTree(rng=rb, presort=True, **params).fit(X, y)
+    for field in _TREE_FIELDS:
+        a, b = getattr(ref, field), getattr(fast, field)
+        assert a.shape == b.shape
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes(), field
+    # Identical RNG consumption, not just identical output.
+    assert ra.bit_generator.state == rb.bit_generator.state
+
+
+#: Shapes and settings at the grower's edges: tiny samples with a single
+#: feature, the forest's min_samples_leaf=1, split and depth limits, and
+#: bootstrap-duplicated rows with a fractional max_features.
+_EDGE_CASES = {
+    "n1-d1": dict(n=1, d=1),
+    "n2-d1": dict(n=2, d=1),
+    "n3-d1": dict(n=3, d=1),
+    "leaf1": dict(min_samples_leaf=1),
+    "split5-depth3": dict(min_samples_split=5, max_depth=3, min_samples_leaf=2),
+    "bootstrap-frac": dict(bootstrap=True, max_features=0.5),
+}
+
+
 class TestTreeGrowth:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("max_features", [None, "third", "sqrt"])
     def test_presorted_growth_bit_identical(self, kernel_mode, seed, max_features):
         X, y = _random_problem(seed)
-        ra = np.random.default_rng(seed + 99)
-        rb = np.random.default_rng(seed + 99)
-        ref = RegressionTree(
-            max_features=max_features, min_samples_leaf=2, rng=ra, presort=False
-        ).fit(X, y)
-        fast = RegressionTree(
-            max_features=max_features, min_samples_leaf=2, rng=rb, presort=True
-        ).fit(X, y)
-        for field in _TREE_FIELDS:
-            a, b = getattr(ref, field), getattr(fast, field)
-            assert a.shape == b.shape
-            assert (a == b).all(), field
-        # Identical RNG consumption, not just identical output.
-        assert ra.bit_generator.state == rb.bit_generator.state
+        _assert_same_growth(
+            X, y, seed, max_features=max_features, min_samples_leaf=2
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    def test_edge_case_growth_bit_identical(self, kernel_mode, case, seed):
+        params = dict(_EDGE_CASES[case])
+        n, d = params.pop("n", 180), params.pop("d", 7)
+        X, y = _random_problem(seed, n=n, d=d)
+        if params.pop("bootstrap", False):
+            rows = np.random.default_rng(seed).integers(0, n, size=n)
+            X, y = X[rows], y[rows]
+        params.setdefault("max_features", "third")
+        _assert_same_growth(X, y, seed, **params)
+
+    def test_probe_mismatch_falls_back_to_numpy(self, monkeypatch):
+        """A kernel whose reproduction of numpy disagrees is never used."""
+        if _cgrower.load() is None:
+            pytest.skip("C kernel unavailable in this environment")
+        monkeypatch.setattr(
+            _cgrower.Kernel, "sumsq", lambda self, a: float(np.dot(a, a)) + 1.0
+        )
+        monkeypatch.setattr(_cgrower, "_lib", None)
+        monkeypatch.setattr(_cgrower, "_attempted", False)
+        assert _cgrower.load() is None
+        X, y = _random_problem(4)
+        _assert_same_growth(X, y, 4, max_features="third")
 
     def test_forest_growth_consumes_rng_identically(self, kernel_mode):
         X, y = _random_problem(3)

@@ -17,6 +17,11 @@ class TestFitValidation:
         with pytest.raises(ValueError, match="rows"):
             RegressionTree().fit(np.zeros((5, 2)), np.zeros(4))
 
+    def test_targets_must_be_1d(self):
+        # The C grower reads y as one double per row.
+        with pytest.raises(ValueError, match="1-D"):
+            RegressionTree().fit(np.zeros((5, 2)), np.zeros((5, 0)))
+
     def test_zero_samples(self):
         with pytest.raises(ValueError, match="zero samples"):
             RegressionTree().fit(np.zeros((0, 2)), np.zeros(0))
