@@ -1,4 +1,4 @@
-"""Build, load and verify the optional C kernel for tree growth and traversal.
+"""Build, load and verify the optional C kernel for tree growth and inference.
 
 The kernel (``_grower.c``) is a plain shared library — no Python or numpy
 headers — compiled on demand with whatever C compiler the host provides
@@ -7,8 +7,11 @@ stay bit-identical with the numpy growers it reproduces three numpy
 behaviours: ``np.add.reduce``'s pairwise summation, ``np.dot`` through the
 very ``cblas_ddot`` numpy calls (resolved here from numpy's own extension
 module), and ``Generator.choice(d, size=m, replace=False)`` on the
-generator's ``bitgen_t``.  :func:`load` checks all three against numpy on
-a throwaway generator before handing the kernel out.
+generator's ``bitgen_t``.  It also routes query rows through a packed
+forest and reduces per-tree predictions to their across-tree mean and
+std, a fourth reproduction of numpy (its axis-0 ``mean`` and ``std``).
+:func:`load` checks all four against numpy on a throwaway generator
+before handing the kernel out.
 
 Everything is best-effort: a missing compiler, a failed build, unwritable
 build directories, an unresolvable ``ddot``, a failed check, or the
@@ -61,11 +64,58 @@ class Kernel:
     def __init__(self, lib: ctypes.CDLL, ddot: int, ddot_ilp64: bool) -> None:
         self.lib = lib
         self.grow_tree = lib.repro_grow_tree
+        self.build_routes = lib.repro_build_routes
         self.traverse = lib.repro_traverse
         self.ddot = ddot
         self.ddot_ilp64 = ddot_ilp64
 
-    # The three reproductions of numpy, exposed for the load-time check.
+    def tree_mean_std(
+        self, P: np.ndarray, cols: "np.ndarray | None" = None, std: bool = True
+    ) -> "tuple[np.ndarray, np.ndarray | None]":
+        """``P[:, cols].mean(axis=0)`` and ``.std(axis=0)``, bit for bit.
+
+        Reads the columns straight out of the C-contiguous float64
+        ``(T, width)`` matrix ``P`` instead of copying them; ``None`` means
+        every column.  ``cols`` is a 1-D integer array with numpy's
+        indexing contract, enforced here because the kernel reads raw
+        pointers: negative ids wrap, ids outside ``[-width, width)`` raise
+        :class:`IndexError`.  The std is ``None`` unless ``std``.
+        """
+        if P.ndim != 2 or P.dtype != np.float64 or not P.flags.c_contiguous:
+            raise ValueError("P must be a C-contiguous 2-D float64 array")
+        T, width = P.shape
+        cols_ptr = None
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.intp)
+            if cols.ndim != 1:
+                raise ValueError(f"cols must be 1-D, got shape {cols.shape}")
+            if cols.size:
+                lo, hi = int(cols.min()), int(cols.max())
+                if lo < -width or hi >= width:
+                    bad = lo if lo < -width else hi
+                    raise IndexError(
+                        f"index {bad} is out of bounds for axis 1 with "
+                        f"size {width}"
+                    )
+                if lo < 0:
+                    cols = np.where(cols < 0, cols + width, cols)
+            cols = np.ascontiguousarray(cols)
+            cols_ptr = cols.ctypes.data
+        n = width if cols is None else len(cols)
+        # One buffer for both results: each .ctypes.data lookup costs ~2 us,
+        # which a one-row predict notices.
+        out = np.empty((2 if std else 1, n))
+        mean_ptr = out.ctypes.data
+        rc = self.lib.repro_tree_mean_std(
+            P.ctypes.data, T, width, cols_ptr, n, mean_ptr,
+            mean_ptr + 8 * n if std else None,
+        )
+        if rc != 0:
+            raise MemoryError("repro_tree_mean_std could not allocate scratch")
+        return out[0], out[1] if std else None
+
+    # The reproductions of numpy the grower needs, exposed for the
+    # load-time check.
     def sum(self, a: np.ndarray) -> float:
         return self.lib.repro_sum(a.ctypes.data, len(a))
 
@@ -104,18 +154,37 @@ def _configure(lib: ctypes.CDLL) -> None:
         ctypes.c_void_p,  # fnodes
         ip,               # cap
     ]
-    lib.repro_traverse.restype = None
-    lib.repro_traverse.argtypes = [
+    lib.repro_build_routes.restype = ip
+    lib.repro_build_routes.argtypes = [
         ctypes.c_void_p,  # feature
         ctypes.c_void_p,  # threshold
         ctypes.c_void_p,  # left
         ctypes.c_void_p,  # right
+        ip,               # n_nodes
+        ip,               # d
+        ctypes.c_void_p,  # table
+    ]
+    lib.repro_traverse.restype = None
+    lib.repro_traverse.argtypes = [
+        ctypes.c_void_p,  # table
+        ctypes.c_void_p,  # offsets
+        ctypes.c_void_p,  # tree_ids
+        ip,               # T
         ctypes.c_void_p,  # X
         ip,               # n_rows
         ip,               # d
-        ctypes.c_void_p,  # roots
-        ip,               # T
+        ctypes.c_void_p,  # payload (NULL: leaf ids)
         ctypes.c_void_p,  # out
+    ]
+    lib.repro_tree_mean_std.restype = ip
+    lib.repro_tree_mean_std.argtypes = [
+        ctypes.c_void_p,  # P
+        ip,               # T
+        ip,               # width
+        ctypes.c_void_p,  # cols
+        ip,               # n
+        ctypes.c_void_p,  # mean
+        ctypes.c_void_p,  # sd (NULL: mean only)
     ]
     lib.repro_sum.restype = ctypes.c_double
     lib.repro_sum.argtypes = [ctypes.c_void_p, ip]
@@ -153,8 +222,39 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _probe_tree_mean_std(kernel: Kernel) -> bool:
+    """Whether the across-tree reduction matches numpy's mean and std.
+
+    Tree counts 1, 2, 30 and 64 over magnitudes from 1e-8 to 1e8 with some
+    -0.0 entries; a strict, unsorted subset of the columns with a negative
+    id, a single column (numpy's pairwise branch), all columns, none, and
+    a mean-only call.  The reference reduces a C-ordered copy of the
+    columns, as the numpy pool path does (``P[:, cols]`` itself is
+    F-ordered, and numpy sums a contiguous reduction axis pairwise).
+    """
+    r = np.random.default_rng(0x7EE5)
+    for T in (1, 2, 30, 64):
+        P = r.normal(size=(T, 41)) * 10.0 ** r.integers(-8, 9, size=(T, 41))
+        P[r.random(P.shape) < 0.15] = -0.0
+        P[:, 7] = -0.0
+        subset = r.permutation(41)[:29]
+        subset[3] -= 41
+        for cols in (subset, [7], [12], None, []):
+            ref = P if cols is None else np.ascontiguousarray(P[:, cols])
+            mean, sd = kernel.tree_mean_std(P, cols)
+            if not (_same_bits(mean, ref.mean(axis=0))
+                    and _same_bits(sd, ref.std(axis=0))):
+                return False
+        mean, sd = kernel.tree_mean_std(P, subset, std=False)
+        ref = np.ascontiguousarray(P[:, subset])
+        if sd is not None or not _same_bits(mean, ref.mean(axis=0)):
+            return False
+    return True
+
+
 def _probe(kernel: Kernel) -> bool:
-    """Whether the kernel's sum, ddot and draw match numpy bit for bit.
+    """Whether the kernel's sum, ddot, draw and reduction match numpy bit
+    for bit.
 
     The lengths cover every branch of the pairwise sum (below 8, the
     8-accumulator block, the recursive halving) and one array longer than
@@ -177,7 +277,9 @@ def _probe(kernel: Kernel) -> bool:
         drawn = kernel.choice(ours, d, m)
         if not np.array_equal(drawn, theirs.choice(d, size=m, replace=False)):
             return False
-    return ours.bit_generator.state == theirs.bit_generator.state
+    if ours.bit_generator.state != theirs.bit_generator.state:
+        return False
+    return _probe_tree_mean_std(kernel)
 
 
 def _verified(lib: ctypes.CDLL) -> "Kernel | None":

@@ -1,4 +1,4 @@
-/* Optional C hot path for presorted CART growth and packed traversal.
+/* Optional C hot path for presorted CART growth and packed inference.
  *
  * Compiled on demand by repro/forest/_cgrower.py (plain `cc -shared`, no
  * Python headers needed) and driven through ctypes.  repro_grow_tree grows
@@ -23,6 +23,12 @@
  *  - the gain test squares with libm pow, as Python's float ** 2 does
  *    (pow is not always x * x), with the exponent read at run time so the
  *    compiler cannot fold it into a multiplication.
+ *
+ * It also routes query rows through a packed forest (repro_traverse, over
+ * the routing table repro_build_routes fills) and reduces per-tree
+ * predictions to their across-tree mean and std the way numpy's axis-0
+ * reductions do (repro_tree_mean_std), which the load-time check covers
+ * too.
  */
 
 #include <math.h>
@@ -49,31 +55,106 @@ typedef double (*ddot32_t)(int32_t, const double *, int32_t, const double *,
 
 static volatile double square_exponent = 2.0;
 
-/* Packed-forest traversal: route every (tree, row) lane to its leaf.
+/* Packed-forest traversal.
  *
- * `feature`/`threshold`/`left`/`right` are the packed SoA node arrays
- * (global child ids, feature < 0 marks a leaf), `X` is the row-major
- * (n_rows, d) query matrix, `roots` lists the root node id of each of the
- * T trees to traverse.  Writes the global leaf id of lane (t, i) to
- * out[t*n_rows + i].  Pure comparisons — bit-identical to the numpy
- * level-synchronous loop by construction.
+ * The routing table holds one entry per node of the packed forest: its
+ * threshold, its feature and its two children side by side, plus its
+ * height (the longest path from it down to a leaf).  go[1] is the child a
+ * row takes when x[feat] <= thr holds (the left child) and go[0] the one
+ * it takes otherwise, NaN included, exactly as the numpy loop routes.
+ * Leaves point to themselves through both slots (feature 0, so the load
+ * stays in bounds), so a row that has reached its leaf stays there.
  */
-void repro_traverse(const ip *feature, const double *threshold,
-                    const ip *left, const ip *right, const double *X,
-                    ip n_rows, ip d, const ip *roots, ip T, ip *out)
+typedef struct {
+    double thr;
+    int32_t feat;
+    int32_t go[2];
+    int32_t height;
+} route_t;
+
+/* Rows routed through one tree in lockstep.  A compile-time constant: the
+ * independent rows of a block overlap their loads in the CPU. */
+#define BLOCK 16
+
+/* Fill the routing table of the packed forest: one backward pass over the
+ * node ids, so every child's height is known before its parent's.  Nodes
+ * with feature < 0 are leaves.  Returns 0, or -1 when an internal node has
+ * a child at an id not greater than its own or outside [0, n_nodes), a
+ * feature outside [0, d), or the ids do not fit the table's int32. */
+ip repro_build_routes(const ip *feature, const double *threshold,
+                      const ip *left, const ip *right, ip n_nodes, ip d,
+                      route_t *table)
 {
+    if (n_nodes > INT32_MAX)
+        return -1;
+    for (ip i = n_nodes - 1; i >= 0; i--) {
+        route_t *r = table + i;
+        const ip f = feature[i];
+        if (f < 0) {
+            *r = (route_t){0.0, 0, {(int32_t)i, (int32_t)i}, 0};
+            continue;
+        }
+        const ip lo = left[i], hi = right[i];
+        if (f >= d || lo <= i || hi <= i || lo >= n_nodes || hi >= n_nodes)
+            return -1;
+        const int32_t hl = table[lo].height, hr = table[hi].height;
+        *r = (route_t){threshold[i], (int32_t)f, {(int32_t)hi, (int32_t)lo},
+                       1 + (hl > hr ? hl : hr)};
+    }
+    return 0;
+}
+
+/* Route rows [i0, i0+m) of X from `root` for `steps` levels into node[]. */
+static inline void route_block(const route_t *table, const double *X, ip d,
+                               ip i0, int m, int32_t root, int32_t steps,
+                               int32_t *node)
+{
+    const double *row[BLOCK];
+    for (int k = 0; k < m; k++) {
+        row[k] = X + (i0 + k) * d;
+        node[k] = root;
+    }
+    for (int32_t s = 0; s < steps; s++)
+        for (int k = 0; k < m; k++) {
+            const route_t *r = table + node[k];
+            node[k] = r->go[row[k][r->feat] <= r->thr];
+        }
+}
+
+/* Route every (tree, row) lane of the T trees `tree_ids` to its leaf.
+ *
+ * `table` comes from repro_build_routes, `offsets` holds each tree's root
+ * id, `X` is the row-major (n_rows, d) query matrix.  Every block takes
+ * exactly its tree's height in steps, so no step tests for a leaf and the
+ * child is picked by indexing with the comparison, never by a branch.
+ * Lane (t, i) goes to out[t*n_rows + i]: payload[leaf] as a double when
+ * `payload` is given, else the global leaf id as an ip.  Pure comparisons
+ * and copies, so bit-identical to the numpy loop by construction.
+ */
+void repro_traverse(const route_t *table, const ip *offsets,
+                    const ip *tree_ids, ip T, const double *X, ip n_rows,
+                    ip d, const double *payload, void *out)
+{
+    int32_t node[BLOCK];
     for (ip t = 0; t < T; t++) {
-        const ip root = roots[t];
-        ip *out_t = out + t * n_rows;
-        for (ip i = 0; i < n_rows; i++) {
-            const double *row = X + i * d;
-            ip node = root;
-            ip f = feature[node];
-            while (f >= 0) {
-                node = (row[f] <= threshold[node]) ? left[node] : right[node];
-                f = feature[node];
+        const int32_t root = (int32_t)offsets[tree_ids[t]];
+        const int32_t steps = table[root].height;
+        for (ip i0 = 0; i0 < n_rows; i0 += BLOCK) {
+            const int m = n_rows - i0 < BLOCK ? (int)(n_rows - i0) : BLOCK;
+            if (m == BLOCK)
+                route_block(table, X, d, i0, BLOCK, root, steps, node);
+            else
+                route_block(table, X, d, i0, m, root, steps, node);
+            const ip base = t * n_rows + i0;
+            if (payload) {
+                double *o = (double *)out + base;
+                for (int k = 0; k < m; k++)
+                    o[k] = payload[node[k]];
+            } else {
+                ip *o = (ip *)out + base;
+                for (int k = 0; k < m; k++)
+                    o[k] = node[k];
             }
-            out_t[i] = node;
         }
     }
 }
@@ -122,6 +203,64 @@ double repro_sumsq(const void *ddot, ip ilp64, const double *a, ip n)
     if (ilp64)
         return 0.0 + ((ddot64_t)ddot)(n, a, 1, a, 1);
     return 0.0 + ((ddot32_t)ddot)((int32_t)n, a, 1, a, 1);
+}
+
+/* Mean and population std across the T rows of the row-major (T, width)
+ * matrix P, for its n columns `cols` (NULL: columns 0..n-1), without
+ * copying them out.  Bit-identical to P[:, cols].mean(axis=0) and
+ * .std(axis=0) on the C-contiguous copy numpy reduces: numpy's axis-0
+ * add.reduce starts from 0.0 and, over two or more columns, adds the
+ * trees in order; over a single column it runs the pairwise sum down that
+ * column instead.  std is the two-pass sqrt(sum((x - mean)**2) / T),
+ * squaring before adding.  `sd` may be NULL when only the mean is wanted.
+ * Returns 0, or -1 if scratch allocation fails.
+ */
+ip repro_tree_mean_std(const double *P, ip T, ip width, const ip *cols,
+                       ip n, double *mean, double *sd)
+{
+    const double Td = (double)T;
+    if (n == 1) {
+        double *buf = calloc((size_t)T + 1, sizeof(double));
+        if (!buf)
+            return -1;
+        const double *col = P + (cols ? cols[0] : 0);
+        for (ip t = 0; t < T; t++)
+            buf[t] = col[t * width];
+        const double m = (0.0 + pairwise_sum(buf, T)) / Td;
+        mean[0] = m;
+        if (sd) {
+            for (ip t = 0; t < T; t++) {
+                const double dv = col[t * width] - m;
+                buf[t] = dv * dv;
+            }
+            sd[0] = sqrt((0.0 + pairwise_sum(buf, T)) / Td);
+        }
+        free(buf);
+        return 0;
+    }
+    for (ip j = 0; j < n; j++)
+        mean[j] = 0.0;
+    for (ip t = 0; t < T; t++) {
+        const double *row = P + t * width;
+        for (ip j = 0; j < n; j++)
+            mean[j] += row[cols ? cols[j] : j];
+    }
+    for (ip j = 0; j < n; j++)
+        mean[j] /= Td;
+    if (!sd)
+        return 0;
+    for (ip j = 0; j < n; j++)
+        sd[j] = 0.0;
+    for (ip t = 0; t < T; t++) {
+        const double *row = P + t * width;
+        for (ip j = 0; j < n; j++) {
+            const double dv = row[cols ? cols[j] : j] - mean[j];
+            sd[j] += dv * dv;
+        }
+    }
+    for (ip j = 0; j < n; j++)
+        sd[j] = sqrt(sd[j] / Td);
+    return 0;
 }
 
 /* random_bounded_uint64(bitgen, 0, rng, 0, 0): a draw from [0, rng] by

@@ -8,11 +8,15 @@ refitting all trees on the enlarged training set, refresh only a fraction.
 
 Inference goes through :class:`~repro.forest.packed.PackedForest`: the
 query matrix is validated once at the forest level and all trees are
-traversed in a single vectorised pass (the historical per-tree Python loop
-re-validated the same matrix once per tree).  For pool scoring the forest
-additionally keeps a per-tree prediction cache keyed by tree *generation*
-(:meth:`predict_with_uncertainty_pool`), so a partial ``update()`` only
-re-scores the refreshed trees.  All paths are bit-identical to the
+traversed in one call (the historical per-tree Python loop re-validated
+the same matrix once per tree) — by the C kernel's blocked routing-table
+traversal when it is loaded, by a numpy level-synchronous loop otherwise.
+For pool scoring the forest additionally keeps a per-tree prediction cache
+keyed by tree *generation* (:meth:`predict_with_uncertainty_pool`), so a
+partial ``update()`` only re-scores the refreshed trees.  The
+``across_trees`` mean and std come from the kernel's reduction, which
+reads the cached matrix through the requested rows without copying them;
+the numpy fallback copies and reduces.  All paths are bit-identical to the
 per-tree reference — ``tests/test_trace_equivalence.py`` pins this.
 """
 
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.forest import _cgrower
 from repro.forest.packed import PackedForest
 from repro.forest.tree import RegressionTree
 from repro.forest.uncertainty import across_tree_std, total_variance_std
@@ -27,6 +32,29 @@ from repro.rng import as_generator
 from repro.telemetry import counters, span
 
 __all__ = ["RandomForestRegressor"]
+
+
+def _across_trees(
+    P: np.ndarray, rows: "np.ndarray | None", std: bool
+) -> "tuple[np.ndarray, np.ndarray | None]":
+    """Mean and (if ``std``) across-tree std of ``P[:, rows]``, per column.
+
+    ``rows=None`` takes every column.  The C kernel reduces a C-ordered
+    float64 ``P`` in place, reading it through ``rows``; the numpy path
+    reduces a copy.
+    """
+    kernel = _cgrower.load()
+    if (kernel is not None and P.flags.c_contiguous and P.dtype == np.float64
+            and (rows is None or rows.ndim == 1)):
+        return kernel.tree_mean_std(P, rows, std)
+    if rows is not None:
+        # Fancy column-indexing yields an F-contiguous result, and axis-0
+        # reductions associate differently over a contiguous reduction
+        # axis (pairwise vs strided-sequential).  Force the C layout the
+        # uncached per_tree_predictions path produces so results stay
+        # bit-identical.
+        P = np.ascontiguousarray(P[:, rows])
+    return P.mean(axis=0), (across_tree_std(P) if std else None)
 
 
 class RandomForestRegressor:
@@ -186,7 +214,7 @@ class RandomForestRegressor:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Forest prediction: mean over trees."""
-        return self.per_tree_predictions(X).mean(axis=0)
+        return _across_trees(self.per_tree_predictions(X), None, std=False)[0]
 
     def predict_with_uncertainty(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(mu, sigma)`` — prediction mean and uncertainty.
@@ -195,18 +223,17 @@ class RandomForestRegressor:
         """
         X = self._check_query(X)
         if self.uncertainty == "across_trees":
-            P = self.packed().predict_all(X)
-            return P.mean(axis=0), across_tree_std(P)
+            return _across_trees(self.packed().predict_all(X), None, std=True)
         M, V, _ = self.packed().leaf_stats_all(X)
         return M.mean(axis=0), total_variance_std(M, V)
 
     # -- pool scoring --------------------------------------------------------
-    def _pool_stats(self, pool_X: np.ndarray, rows: np.ndarray) -> tuple:
-        """Cached per-tree pool statistics sliced to ``rows``.
+    def _pool_cache_for(self, pool_X: np.ndarray) -> dict:
+        """The per-tree pool-statistics cache, refreshed for ``pool_X``.
 
-        The cache holds per-tree predictions (and leaf variances when the
-        ``total_variance`` estimator needs them) for *every* row of
-        ``pool_X``, stamped with each tree's generation.  A partial
+        The cache holds per-tree predictions ``P`` (and leaf variances
+        ``V`` when the ``total_variance`` estimator needs them) for *every*
+        row of ``pool_X``, stamped with each tree's generation.  A partial
         ``update()`` bumps only the refreshed trees' stamps, so the next
         call re-scores just those trees; rows removed from the pool are
         simply never requested again, so no eager invalidation is needed.
@@ -243,9 +270,7 @@ class RandomForestRegressor:
                 with span("forest.pool_score", trees=int(stale.size), full=0):
                     packed = self.packed()
                     if need_v:
-                        leaves = packed._descend(
-                            cache["Xv"], packed.offsets[stale]
-                        )
+                        leaves = packed._descend(cache["Xv"], stale)
                         cache["P"][stale] = packed.value[leaves]
                         cache["V"][stale] = packed.variance[leaves]
                     else:
@@ -253,20 +278,14 @@ class RandomForestRegressor:
                             cache["Xv"], stale
                         )
                 cache["gens"] = self._tree_gens.copy()
-        # Fancy column-indexing yields an F-contiguous result, and axis-0
-        # reductions associate differently over a contiguous reduction axis
-        # (pairwise vs strided-sequential).  Force the C layout the uncached
-        # per_tree_predictions path produces so results stay bit-identical.
-        P = np.ascontiguousarray(cache["P"][:, rows])
-        V = np.ascontiguousarray(cache["V"][:, rows]) if need_v else None
-        return P, V
+        return cache
 
     def predict_pool(self, pool_X: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``predict(pool_X[rows])`` through the pool-score cache."""
         self._require_fitted()
         rows = np.asarray(rows, dtype=np.intp)
-        P, _ = self._pool_stats(pool_X, rows)
-        return P.mean(axis=0)
+        P = self._pool_cache_for(pool_X)["P"]
+        return _across_trees(P, rows, std=False)[0]
 
     def predict_with_uncertainty_pool(
         self, pool_X: np.ndarray, rows: np.ndarray
@@ -279,9 +298,12 @@ class RandomForestRegressor:
         """
         self._require_fitted()
         rows = np.asarray(rows, dtype=np.intp)
-        P, V = self._pool_stats(pool_X, rows)
+        cache = self._pool_cache_for(pool_X)
         if self.uncertainty == "across_trees":
-            return P.mean(axis=0), across_tree_std(P)
+            return _across_trees(cache["P"], rows, std=True)
+        # Copied to C order for the same reason as in _across_trees.
+        P = np.ascontiguousarray(cache["P"][:, rows])
+        V = np.ascontiguousarray(cache["V"][:, rows])
         return P.mean(axis=0), total_variance_std(P, V)
 
     def feature_importances(self) -> np.ndarray:

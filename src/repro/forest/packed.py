@@ -5,8 +5,12 @@ with a Python loop over trees — 30 traversals per call, each re-validating
 the same query matrix.  :class:`PackedForest` concatenates every tree's
 flat node arrays (feature/threshold/left/right/value/variance/count/
 impurity) into one SoA with per-tree root offsets and child links rebased
-to *global* node ids, then descends all ``n_rows × n_trees`` lanes together
-in a single level-synchronous loop.  Routing decisions are the same
+to *global* node ids, and routes all ``n_rows × n_trees`` lanes in one
+call.  With the C kernel, each tree's rows go through a compact routing
+table in blocks that step exactly the tree's height, and the kernel writes
+leaf values (or leaf ids) straight into the output; without it, a numpy
+level-synchronous loop descends all lanes together and gathers the leaf
+values afterwards.  Routing decisions are the same
 ``X[row, feature] <= threshold`` comparisons the per-tree code makes, and
 leaf payloads are the trees' own arrays concatenated, so every prediction
 is bit-identical to the per-tree reference — the trace-equivalence suite
@@ -29,6 +33,15 @@ __all__ = ["PackedForest"]
 
 _LEAF = -1
 
+#: One routing-table entry, laid out as ``route_t`` in ``_grower.c``:
+#: threshold, feature, the children taken when ``x <= threshold`` fails
+#: and holds (a leaf points to itself through both), and the node's height.
+ROUTE = np.dtype(
+    [("thr", np.float64), ("feat", np.int32), ("go", np.int32, 2),
+     ("height", np.int32)],
+    align=True,
+)
+
 #: Node-array fields concatenated into the SoA, in serialisation order.
 FIELDS = (
     "feature",
@@ -50,6 +63,10 @@ class PackedForest:
     ``t``'s root and ``offsets[-1]`` the total node count.  ``left``/
     ``right`` hold *global* child ids for internal nodes and ``-1`` for
     leaves.  Use :meth:`from_trees` to build one from fitted trees.
+
+    Construction rejects node arrays a traversal could not walk safely
+    (:meth:`_check_structure`), so every packed forest, however it was
+    built or loaded, has its children at larger ids inside their own tree.
     """
 
     def __init__(
@@ -83,6 +100,48 @@ class PackedForest:
                 f"offsets end at {self.offsets[-1]} but there are "
                 f"{len(self.feature)} nodes"
             )
+        self._check_structure()
+        #: The C kernel's routing table, built the first time it traverses.
+        self._routes: np.ndarray | None = None
+
+    def _check_structure(self) -> None:
+        """Reject node arrays that would send a traversal out of bounds or
+        round in circles.
+
+        Every field holds one entry per node and every tree at least one
+        node; features lie in ``[-1, n_features)``; a node is a leaf exactly
+        when its feature and both children are ``-1``; and an internal
+        node's children sit inside its own tree at larger ids than the
+        node.  Every grower builds trees that way, and it rules out cycles.
+        """
+        n_nodes = self.n_nodes
+        for name, arr in self.arrays().items():
+            if arr.shape != (n_nodes,):
+                raise ValueError(
+                    f"packed_{name} has shape {arr.shape}, expected ({n_nodes},)"
+                )
+        sizes = np.diff(self.offsets)
+        if self.offsets[0] != 0 or (sizes <= 0).any():
+            raise ValueError("offsets must start at 0 and increase strictly")
+        feature, left, right = self.feature, self.left, self.right
+        if ((feature < -1) | (feature >= self.n_features)).any():
+            raise ValueError(
+                f"packed_feature holds ids outside [-1, {self.n_features})"
+            )
+        leaf = feature == -1
+        if ((left == -1) != leaf).any() or ((right == -1) != leaf).any():
+            raise ValueError(
+                "a node must be a leaf exactly when its feature and both "
+                "children are -1"
+            )
+        internal = np.flatnonzero(~leaf)
+        tree_end = np.repeat(self.offsets[1:], sizes)[internal]
+        for child in (left[internal], right[internal]):
+            if ((child <= internal) | (child >= tree_end)).any():
+                raise ValueError(
+                    "an internal node has a child outside its tree or at a "
+                    "smaller id than itself"
+                )
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -157,35 +216,79 @@ class PackedForest:
         return {name: getattr(self, name) for name in FIELDS}
 
     # -- traversal ---------------------------------------------------------
-    def _descend(self, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
-        """Route every (tree, row) lane to its leaf; returns global leaf ids.
+    def _descend(
+        self,
+        X: np.ndarray,
+        tree_ids: "np.ndarray | None" = None,
+        values: bool = False,
+    ) -> np.ndarray:
+        """Route every (tree, row) lane to its leaf, shape ``(T, n_rows)``.
 
-        ``X`` must already be validated/converted (the forest does this once
-        per call — that is the point).  Lanes are tree-major: the result has
-        shape ``(len(roots), len(X))``.  Routing is pure comparisons, so the
-        C kernel (when available) and the numpy level-synchronous loop are
-        bit-identical; the numpy loop compacts the lane set to the
-        still-internal lanes each level, so its per-level cost shrinks with
-        depth.
+        ``tree_ids`` picks the trees (all of them when ``None``), in the
+        given order, repeats allowed; ids outside ``[0, n_trees)`` raise
+        :class:`IndexError`.  ``X`` must be a 2-D query with ``n_features``
+        columns (converted to float64; anything else raises
+        :class:`ValueError`), checked here once, before either kernel mode
+        reads it.  Returns the global leaf ids, or with ``values`` the
+        leaves' mean predictions ``value[leaf]``.
         """
-        counters.inc("forest.trees_traversed", len(roots))
-        with span("forest.traverse", trees=len(roots), rows=X.shape[0]):
-            return self._descend_inner(X, roots)
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
+            raise ValueError(
+                f"query must be 2-D with {self.n_features} columns, got "
+                f"shape {X.shape}"
+            )
+        if tree_ids is None:
+            tree_ids = np.arange(self.n_trees, dtype=np.intp)
+        else:
+            tree_ids = np.ascontiguousarray(tree_ids, dtype=np.intp)
+            if tree_ids.ndim != 1:
+                raise ValueError(f"tree ids must be 1-D, got shape {tree_ids.shape}")
+            if tree_ids.size and (
+                tree_ids.min() < 0 or tree_ids.max() >= self.n_trees
+            ):
+                raise IndexError(
+                    f"tree ids must lie in [0, {self.n_trees}), got "
+                    f"{tree_ids.min()}..{tree_ids.max()}"
+                )
+        counters.inc("forest.trees_traversed", len(tree_ids))
+        with span("forest.traverse", trees=len(tree_ids), rows=X.shape[0]):
+            kernel = _cgrower.load()
+            if kernel is not None:
+                return self._traverse(kernel, X, tree_ids, values)
+            leaves = self._descend_numpy(X, self.offsets[tree_ids])
+            return self.value[leaves] if values else leaves
 
-    def _descend_inner(self, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
-        kernel = _cgrower.load()
-        if kernel is not None:
-            T = len(roots)
-            Xc = np.ascontiguousarray(X)
-            roots_c = np.ascontiguousarray(roots, dtype=np.intp)
-            out = np.empty((T, Xc.shape[0]), dtype=np.intp)
-            kernel.traverse(
+    def _traverse(self, kernel, X, tree_ids, values: bool) -> np.ndarray:
+        """The C kernel's traversal, through the cached routing table."""
+        if self._routes is None:
+            routes = np.empty(self.n_nodes, dtype=ROUTE)
+            if kernel.build_routes(
                 self.feature.ctypes.data, self.threshold.ctypes.data,
                 self.left.ctypes.data, self.right.ctypes.data,
-                Xc.ctypes.data, Xc.shape[0], Xc.shape[1],
-                roots_c.ctypes.data, T, out.ctypes.data,
-            )
-            return out
+                self.n_nodes, self.n_features, routes.ctypes.data,
+            ) != 0:
+                raise ValueError("node arrays cannot be routed")
+            self._routes = routes
+        Xc = np.ascontiguousarray(X)
+        out = np.empty(
+            (len(tree_ids), Xc.shape[0]),
+            dtype=np.float64 if values else np.intp,
+        )
+        kernel.traverse(
+            self._routes.ctypes.data, self.offsets.ctypes.data,
+            tree_ids.ctypes.data, len(tree_ids), Xc.ctypes.data,
+            Xc.shape[0], Xc.shape[1],
+            self.value.ctypes.data if values else None, out.ctypes.data,
+        )
+        return out
+
+    def _descend_numpy(self, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
+        """The level-synchronous numpy loop over all lanes from ``roots``.
+
+        The lane set is compacted to the still-internal lanes each level,
+        so the per-level cost shrinks with depth.
+        """
         n = X.shape[0]
         n_lanes = len(roots) * n
         out = np.empty(n_lanes, dtype=np.intp)
@@ -214,11 +317,11 @@ class PackedForest:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Global leaf id reached by each (tree, row) lane, ``(T, n)``."""
-        return self._descend(X, self.offsets[:-1])
+        return self._descend(X)
 
     def predict_all(self, X: np.ndarray) -> np.ndarray:
         """Per-tree mean predictions, shape ``(n_trees, n_rows)``."""
-        return self.value[self.apply(X)]
+        return self._descend(X, values=True)
 
     def leaf_stats_all(
         self, X: np.ndarray
@@ -233,8 +336,7 @@ class PackedForest:
         Used by the pool-score cache to re-score only the trees a partial
         :meth:`~repro.forest.forest.RandomForestRegressor.update` refreshed.
         """
-        tree_ids = np.asarray(tree_ids, dtype=np.intp)
-        return self.value[self._descend(X, self.offsets[tree_ids])]
+        return self._descend(X, tree_ids, values=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedForest({self.n_trees} trees, {self.n_nodes} nodes)"

@@ -78,58 +78,18 @@ def _load_v1(data) -> list[RegressionTree]:
     return trees
 
 
-def _check_structure(packed: PackedForest) -> None:
-    """Reject node arrays that would send a traversal out of bounds or round
-    in circles.
-
-    Every field holds one entry per node and every tree at least one node;
-    features lie in ``[-1, n_features)``; a node is a leaf exactly when its
-    feature and both children are ``-1``; and an internal node's children
-    sit inside its own tree at larger ids than the node.  Every grower
-    builds trees that way, and it rules out cycles.
-    """
-    n_nodes = packed.n_nodes
-    for name, arr in packed.arrays().items():
-        if arr.shape != (n_nodes,):
-            raise ValueError(
-                f"packed_{name} has shape {arr.shape}, expected ({n_nodes},)"
-            )
-    sizes = np.diff(packed.offsets)
-    if packed.offsets[0] != 0 or (sizes <= 0).any():
-        raise ValueError("offsets must start at 0 and increase strictly")
-    feature, left, right = packed.feature, packed.left, packed.right
-    if ((feature < -1) | (feature >= packed.n_features)).any():
-        raise ValueError(
-            f"packed_feature holds ids outside [-1, {packed.n_features})"
-        )
-    leaf = feature == -1
-    if ((left == -1) != leaf).any() or ((right == -1) != leaf).any():
-        raise ValueError(
-            "a node must be a leaf exactly when its feature and both "
-            "children are -1"
-        )
-    internal = np.flatnonzero(~leaf)
-    tree_end = np.repeat(packed.offsets[1:], sizes)[internal]
-    for child in (left[internal], right[internal]):
-        if ((child <= internal) | (child >= tree_end)).any():
-            raise ValueError(
-                "an internal node has a child outside its tree or at a "
-                "smaller id than itself"
-            )
-
-
 def forest_from_payload(data) -> RandomForestRegressor:
     """Rebuild a forest from a format-1/2 payload mapping (dict or npz).
 
-    Raises ``ValueError`` for node arrays that fail
-    :func:`_check_structure`, before anything traverses them.
+    Raises ``ValueError`` for node arrays that fail the structure check
+    every :class:`PackedForest` runs on construction, before anything
+    traverses them.
     """
     version = int(data["format_version"])
     uncertainty = str(data["uncertainty"])
     if version == 1:
         trees = _load_v1(data)
         packed = PackedForest.from_trees(trees)
-        _check_structure(packed)
         model = RandomForestRegressor(
             n_estimators=len(trees), uncertainty=uncertainty
         )
@@ -146,7 +106,6 @@ def forest_from_payload(data) -> RandomForestRegressor:
         offsets=np.asarray(data["offsets"]),
         n_features=int(data["n_features"]),
     )
-    _check_structure(packed)
     model = RandomForestRegressor(
         n_estimators=packed.n_trees, uncertainty=uncertainty
     )

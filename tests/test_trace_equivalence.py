@@ -150,6 +150,34 @@ class TestTreeGrowth:
         X, y = _random_problem(4)
         _assert_same_growth(X, y, 4, max_features="third")
 
+    def test_reduction_probe_mismatch_falls_back_to_numpy(self, monkeypatch):
+        """A kernel whose across-tree reduction disagrees with numpy's mean
+        or std, by one ulp in one column, is never used for anything."""
+        if _cgrower.load() is None:
+            pytest.skip("C kernel unavailable in this environment")
+        reduce = _cgrower.Kernel.tree_mean_std
+
+        def off_by_one_ulp(self, P, cols=None, std=True):
+            mean, sd = reduce(self, P, cols, std)
+            if sd is not None and sd.size:
+                sd = sd.copy()
+                sd[-1] = np.nextafter(sd[-1], np.inf)
+            return mean, sd
+
+        monkeypatch.setattr(_cgrower.Kernel, "tree_mean_std", off_by_one_ulp)
+        monkeypatch.setattr(_cgrower, "_lib", None)
+        monkeypatch.setattr(_cgrower, "_attempted", False)
+        assert _cgrower.load() is None
+        X, y = _random_problem(9)
+        pool = _random_problem(10, n=300)[0]
+        rows = np.random.default_rng(1).choice(300, size=250, replace=False)
+        ref = _ReferenceForest(n_estimators=8, seed=5).fit(X, y)
+        fast = RandomForestRegressor(n_estimators=8, seed=5).fit(X, y)
+        mu_r, sd_r = ref.predict_with_uncertainty(pool[rows])
+        mu_f, sd_f = fast.predict_with_uncertainty_pool(pool, rows)
+        assert mu_r.tobytes() == mu_f.tobytes() and sd_r.tobytes() == sd_f.tobytes()
+        assert fast.predict_pool(pool, rows).tobytes() == mu_r.tobytes()
+
     def test_forest_growth_consumes_rng_identically(self, kernel_mode):
         X, y = _random_problem(3)
         ref = _ReferenceForest(n_estimators=7, seed=11).fit(X, y)
