@@ -1,25 +1,13 @@
 #!/usr/bin/env python
-"""Engine hot-path microbenchmarks: fused batch evaluation, batch dispatch.
+"""Engine hot-path microbenchmark: fused batch evaluation.
 
-Times the two layers of the batched-engine optimisation (DESIGN.md §2h)
-and writes the results to ``BENCH_engine.json``:
-
-* ``oracle`` — measuring a pool-sized batch of configurations: one fused
-  :meth:`~repro.workloads.base.Benchmark.evaluate_batch` call vs the
-  per-configuration evaluation loop the learner and service used before.
-  The cost models are closed-form numpy, so the fused call amortises the
-  parameter-space bookkeeping across the whole batch.  The acceptance bar
-  for this PR is a >= 5x configs/sec speedup here at paper pool scale.
-* ``dispatch`` — whole trial jobs through :func:`repro.engine.run_jobs`
-  at ``--jobs 1/2/4``, chunked dispatch (``batch_size`` pinned so chunks
-  have members) vs the historical one-future-per-trial dispatch
-  (``batch_size=1``).  Batching amortises future scheduling, pickling,
-  and telemetry drains; the shared-memory transport replaces per-worker
-  data preparation with one attach per (benchmark, scale, seed).
-
-Chunked dispatch is bit-identical to per-trial dispatch at any worker
-count (enforced by ``tests/test_batch_dispatch.py``), so these numbers
-are pure speed.
+Measures a pool-sized batch of configurations (DESIGN.md §2h) and writes
+the result to ``BENCH_engine.json``: one fused
+:meth:`~repro.workloads.base.Benchmark.evaluate_batch` call vs the
+per-configuration evaluation loop the learner and service used before.
+The cost models are closed-form numpy, so the fused call amortises the
+parameter-space bookkeeping across the whole batch.  The floor is a
+>= 5x configs/sec speedup at paper pool scale.
 
 Usage::
 
@@ -36,33 +24,11 @@ import time
 
 import numpy as np
 
-from repro.engine import EngineConfig, run_jobs, trial_jobs
-from repro.experiments.config import ExperimentScale
 from repro.workloads import get_benchmark
 
 #: Oracle section: paper pool size (7000 configurations, Section III-D).
 PAPER_ORACLE = dict(benchmark="mvt", n_configs=7000, repeats=5)
 QUICK_ORACLE = dict(benchmark="mvt", n_configs=1200, repeats=2)
-
-#: Dispatch section: small-but-real trials so run_jobs overhead is visible.
-PAPER_DISPATCH = dict(
-    jobs=(1, 2, 4), n_trials_per_strategy=8, batch_size=4, repeats=3
-)
-QUICK_DISPATCH = dict(
-    jobs=(1, 2), n_trials_per_strategy=2, batch_size=2, repeats=1
-)
-
-DISPATCH_SCALE = ExperimentScale(
-    name="bench-dispatch",
-    pool_size=300,
-    test_size=150,
-    n_init=8,
-    n_batch=1,
-    n_max=16,
-    n_trials=1,  # overridden per section below
-    eval_every=4,
-    n_estimators=8,
-)
 
 
 def best_of_pair(fn_a, fn_b, repeats: int) -> tuple[float, float]:
@@ -110,50 +76,6 @@ def bench_oracle(scale) -> dict:
     }
 
 
-def bench_dispatch(scale) -> dict:
-    """Trials/sec through run_jobs: chunked dispatch vs one-future-per-trial."""
-    import dataclasses
-
-    trial_scale = dataclasses.replace(
-        DISPATCH_SCALE, n_trials=scale["n_trials_per_strategy"]
-    )
-    jobs = trial_jobs("mvt", "pwu", trial_scale, seed=0) + trial_jobs(
-        "mvt", "random", trial_scale, seed=0
-    )
-
-    def run(n_workers: int, batch_size: int) -> None:
-        config = EngineConfig(
-            jobs=n_workers,
-            batch_size=batch_size,
-            progress=False,
-            retry_backoff=0.01,
-        )
-        results, _ = run_jobs(jobs, config=config)
-        if not all(r.ok for r in results.values()):
-            raise RuntimeError(f"dispatch benchmark trial failed at jobs={n_workers}")
-
-    per_jobs = {}
-    for n_workers in scale["jobs"]:
-        per_trial_sec, batched_sec = best_of_pair(
-            lambda: run(n_workers, batch_size=1),
-            lambda: run(n_workers, batch_size=scale["batch_size"]),
-            scale["repeats"],
-        )
-        per_jobs[str(n_workers)] = {
-            "per_trial_sec": round(per_trial_sec, 4),
-            "batched_sec": round(batched_sec, 4),
-            "per_trial_trials_per_sec": round(len(jobs) / per_trial_sec, 3),
-            "batched_trials_per_sec": round(len(jobs) / batched_sec, 3),
-            "speedup": round(per_trial_sec / batched_sec, 3),
-        }
-    return {
-        "n_trials": len(jobs),
-        "batch_size": scale["batch_size"],
-        "scale": {"pool_size": trial_scale.pool_size, "n_max": trial_scale.n_max},
-        "jobs": per_jobs,
-    }
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument(
@@ -169,21 +91,11 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
-    oracle_scale = QUICK_ORACLE if args.quick else PAPER_ORACLE
-    dispatch_scale = QUICK_DISPATCH if args.quick else PAPER_DISPATCH
-    oracle = bench_oracle(oracle_scale)
-    dispatch = bench_dispatch(dispatch_scale)
+    oracle = bench_oracle(QUICK_ORACLE if args.quick else PAPER_ORACLE)
     result = {
         "schema": "repro.bench_engine/v1",
         "oracle": oracle,
-        "dispatch": dispatch,
-        "speedups": {
-            "pool_batch_eval": oracle["speedup"],
-            **{
-                f"dispatch_jobs{j}": row["speedup"]
-                for j, row in dispatch["jobs"].items()
-            },
-        },
+        "speedups": {"pool_batch_eval": oracle["speedup"]},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     with open(args.output, "w") as fh:
@@ -196,12 +108,6 @@ def main(argv=None) -> int:
         f"per-config {oracle['per_config_sec'] * 1e3:.2f} ms   "
         f"speedup {oracle['speedup']:.1f}x"
     )
-    for j, row in sorted(dispatch["jobs"].items()):
-        print(
-            f"dispatch jobs={j}: batched {row['batched_trials_per_sec']:.2f} "
-            f"trials/s   per-trial {row['per_trial_trials_per_sec']:.2f} "
-            f"trials/s   speedup {row['speedup']:.2f}x"
-        )
     print(f"wrote {args.output}")
 
     speedup = oracle["speedup"]

@@ -120,35 +120,19 @@ class LearningHistory:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LearningHistory":
-        """Inverse of :meth:`to_dict`.
-
-        Accepts the full ``records`` schema as well as the legacy
-        summary-only form (rebuilt with empty selection fields), so older
-        ``dump_json`` artifacts remain loadable.
-        """
+        """Inverse of :meth:`to_dict`: rebuilds the trace from ``records``."""
         history = cls()
-        if "records" in d:
-            for rec in d["records"]:
-                history.append(
-                    IterationRecord(
-                        n_train=int(rec["n_train"]),
-                        cumulative_cost=float(rec["cumulative_cost"]),
-                        rmse={k: float(v) for k, v in rec["rmse"].items()},
-                        selected=tuple(int(i) for i in rec["selected"]),
-                        selected_mu=tuple(float(m) for m in rec["selected_mu"]),
-                        selected_sigma=tuple(
-                            float(s) for s in rec["selected_sigma"]
-                        ),
-                    )
-                )
-            return history
-        rmse = d.get("rmse", {})
-        for i, (n, cost) in enumerate(zip(d["n_train"], d["cumulative_cost"])):
+        for rec in d["records"]:
             history.append(
                 IterationRecord(
-                    n_train=int(n),
-                    cumulative_cost=float(cost),
-                    rmse={k: float(series[i]) for k, series in rmse.items()},
+                    n_train=int(rec["n_train"]),
+                    cumulative_cost=float(rec["cumulative_cost"]),
+                    rmse={k: float(v) for k, v in rec["rmse"].items()},
+                    selected=tuple(int(i) for i in rec["selected"]),
+                    selected_mu=tuple(float(m) for m in rec["selected_mu"]),
+                    selected_sigma=tuple(
+                        float(s) for s in rec["selected_sigma"]
+                    ),
                 )
             )
         return history

@@ -38,20 +38,15 @@ per-process cache, so the split — which the paper's protocol shares across
 all strategies and trials of a benchmark — is paid once per process rather
 than once per trial.
 
-The batched hot path (see DESIGN.md §2h): instead of one pool future per
-trial, the parallel scheduler dispatches *chunks* of trials per future
-(``EngineConfig.batch_size``; 0 sizes chunks from the queue depth, 1
-restores per-trial futures), amortising pickling and executor scheduling
-overhead.  Inside a chunk every trial is still guarded individually —
-per-attempt timeout, fault injection, and error capture are per-trial —
-and failures travel back as data, so retries and fault tolerance are
-exactly the per-future semantics.  Before dispatch the parent prepares
-each unique (benchmark, scale, seed) split once and publishes the arrays
-into shared memory (:mod:`repro.engine.shm`); workers attach instead of
-recomputing, and the parent unlinks every segment on the engine's
-``finally`` path.  Because all randomness is key-derived, chunking and
-shared-memory transport change *nothing* about the results: histories are
-bit-identical at any ``--jobs N`` and any batch size.
+The parallel scheduler submits one pool future per trial attempt (see
+DESIGN.md §2h); failures travel back as data, so retries and fault
+tolerance are per trial.  Before dispatch the parent prepares each unique
+(benchmark, scale, seed) split once and publishes the arrays into shared
+memory (:mod:`repro.engine.shm`); workers attach instead of recomputing,
+and the parent unlinks every segment on the engine's ``finally`` path.
+Because all randomness is key-derived, the shared-memory transport changes
+*nothing* about the results: histories are bit-identical at any
+``--jobs N``.
 
 The pool prefers the ``fork`` start method (cheap, inherits the prepared
 caches' code pages) and falls back to ``spawn`` where fork is unavailable;
@@ -87,7 +82,6 @@ __all__ = [
     "execute_job",
     "JobTimeout",
     "backoff_seconds",
-    "chunk_size",
 ]
 
 #: Per-process cache of prepared (benchmark, pool, X_test, y_test) tuples.
@@ -101,11 +95,6 @@ _RETRY_BACKOFF_CAP = 30.0
 
 #: Pool rebuilds tolerated per batch before degrading to serial execution.
 _POOL_RESTART_LIMIT = 2
-
-#: Ceiling on the automatic dispatch chunk size.  Large chunks amortise
-#: more overhead but coarsen the unit a pool death loses; 16 trials is
-#: past the knee of the pickling-overhead curve (see BENCH_engine.json).
-_BATCH_CAP = 16
 
 #: Per-process cache of parsed fault plans, keyed by spec string.
 _PLANS: "dict[str | None, faults_mod.FaultPlan]" = {}
@@ -282,9 +271,14 @@ def _attempt(
 
 
 def _execute_keyed(  # repro: worker-entry
-    item: "tuple[str, TrialJob, float, int, float | None, str | None]",
-) -> "tuple[str, str, object, list, dict]":
-    """Pool-friendly wrapper: runs one guarded attempt in a worker process.
+    key: str,
+    job: TrialJob,
+    submit_ts: float,
+    attempt: int,
+    timeout: "float | None",
+    faults_spec: "str | None",
+) -> "tuple[str, object, list, dict]":
+    """The pool's entry point: one guarded attempt in a worker process.
 
     Besides the outcome it ships the worker's telemetry for this attempt
     back through the result channel — the span events drained from the
@@ -294,50 +288,10 @@ def _execute_keyed(  # repro: worker-entry
     exceptions: an exception escaping here would be indistinguishable from
     pool infrastructure trouble on the parent side.
     """
-    key, job, submit_ts, attempt, timeout, faults_spec = item
     outcome, payload = _attempt(
         key, job, submit_ts, attempt, _plan(faults_spec), timeout
     )
-    return key, outcome, payload, telemetry.drain_events(), telemetry.drain()
-
-
-def chunk_size(batch_size: int, queued: int, n_workers: int) -> int:
-    """Trials to pack into the next worker future.
-
-    A pinned ``batch_size`` wins.  The automatic policy (``batch_size=0``)
-    aims for about four chunks per worker — large enough to amortise
-    pickling and scheduling, small enough that a crashed worker loses a
-    sliver of the campaign and stragglers still balance — recomputed per
-    chunk so dispatch self-tapers as the queue drains (guided
-    scheduling), capped at :data:`_BATCH_CAP`.
-    """
-    if batch_size:
-        return batch_size
-    if queued <= n_workers:
-        return 1
-    return max(1, min(_BATCH_CAP, -(-queued // (n_workers * 4))))
-
-
-def _execute_chunk(  # repro: worker-entry
-    chunk: "list[tuple[str, TrialJob, float, int, float | None, str | None]]",
-) -> "tuple[list[tuple[str, str, object]], list, dict]":
-    """Run a chunk of trial attempts sequentially in one worker process.
-
-    Each trial keeps the full per-attempt guard rail — its own ``SIGALRM``
-    timeout, its own fault-plan rolls, its own error capture — so a
-    timeout or error on one trial never contaminates its chunk-mates; only
-    a hard crash (which kills the process) loses the chunk's unfinished
-    remainder, and the parent requeues those bit-identically.  Telemetry
-    is drained once per chunk rather than once per trial — the merged
-    stream the parent absorbs is the same either way.
-    """
-    outcomes = []
-    for key, job, submit_ts, attempt, timeout, faults_spec in chunk:
-        outcome, payload = _attempt(
-            key, job, submit_ts, attempt, _plan(faults_spec), timeout
-        )
-        outcomes.append((key, outcome, payload))
-    return outcomes, telemetry.drain_events(), telemetry.drain()
+    return outcome, payload, telemetry.drain_events(), telemetry.drain()
 
 
 def _worker_init(trace_on: bool, manifest=None) -> None:  # repro: worker-entry
@@ -441,20 +395,16 @@ def _run_parallel(
 ) -> "list[tuple[str, TrialJob, int]]":
     """Execute over a process pool; returns jobs that still need running.
 
-    Dispatch is chunked: each future carries :func:`chunk_size` trials
-    (``manifest`` ships the shared-memory locations of the prepared data
-    to every worker via the pool initializer).  Jobs come back for the
-    caller's serial fallback when pools cannot be created at all, when
-    job payloads turn out unpicklable, or when the pool has died more
-    than :data:`_POOL_RESTART_LIMIT` times.  Everything else — job
-    errors, timeouts, single pool deaths — is absorbed here: completed
-    results are committed the moment their future resolves (and salvaged
-    from a broken pool's already-done futures), in-flight trials lost to
-    a pool death are charged one attempt and requeued, and the pool is
-    rebuilt.  A crash mid-chunk loses only that chunk's unfinished
-    trials to the requeue; trials the worker completed before dying come
-    back through the salvage probe or, failing that, are recomputed
-    bit-identically on retry.
+    Each future carries one trial attempt (``manifest`` ships the
+    shared-memory locations of the prepared data to every worker via the
+    pool initializer).  Jobs come back for the caller's serial fallback
+    when pools cannot be created at all, when job payloads turn out
+    unpicklable, or when the pool has died more than
+    :data:`_POOL_RESTART_LIMIT` times.  Everything else — job errors,
+    timeouts, single pool deaths — is absorbed here: completed results
+    are committed the moment their future resolves (and salvaged from a
+    broken pool's already-done futures), in-flight trials lost to a pool
+    death are charged one attempt and requeued, and the pool is rebuilt.
     """
     todo: "deque[tuple[str, TrialJob, int]]" = deque(pending)
     deferred: "list[tuple[float, str, TrialJob, int]]" = []  # (ready_at, ...)
@@ -479,29 +429,17 @@ def _run_parallel(
             )
             reporter.job_failed(f"{job.describe()}: {error}")
 
-    def absorb_chunk(
-        members: "list[tuple[str, TrialJob, int]]", chunk_payload
-    ) -> None:
-        """Fan a chunk future's result back to its per-trial bookkeeping."""
-        outcomes, events, counter_delta = chunk_payload
+    def absorb(key: str, job: TrialJob, attempt: int, result) -> None:
+        """Merge a future's worker telemetry, then book its outcome."""
+        outcome, payload, events, counter_delta = result
         telemetry.absorb_events(events)
         telemetry.absorb(counter_delta)
-        by_key = {key: (job, attempt) for key, job, attempt in members}
-        for key, outcome, payload in outcomes:
-            job, attempt = by_key.pop(key)
-            if outcome == "ok":
-                _record_success(
-                    key, job, attempt, payload, results, store, reporter
-                )
-            else:
-                attempt_failed(key, job, attempt, str(payload), outcome)
-        # _execute_chunk reports every member (failures travel as data),
-        # so leftovers mean a worker-side bug — charge an attempt rather
-        # than silently dropping the trial.
-        for key, (job, attempt) in by_key.items():
-            attempt_failed(
-                key, job, attempt, "missing from chunk result", "channel error"
+        if outcome == "ok":
+            _record_success(
+                key, job, attempt, payload, results, store, reporter
             )
+        else:
+            attempt_failed(key, job, attempt, str(payload), outcome)
 
     while todo or deferred:
         try:
@@ -516,7 +454,7 @@ def _run_parallel(
             return leftover()
         broken = False
         unpicklable = False
-        futures: "dict[object, list[tuple[str, TrialJob, int]]]" = {}
+        futures: "dict[object, tuple[str, TrialJob, int]]" = {}
         try:
             while (todo or deferred or futures) and not broken:
                 # repro: allow[DET002] backoff readiness check; scheduling only, never in results
@@ -529,13 +467,10 @@ def _run_parallel(
                         still.append((ready_at, key, job, attempt))
                 deferred[:] = still
                 while todo:
-                    size = min(
-                        chunk_size(config.batch_size, len(todo), n_workers),
-                        len(todo),
-                    )
-                    members = [todo.popleft() for _ in range(size)]
-                    items = [
-                        (
+                    key, job, attempt = todo.popleft()
+                    try:
+                        fut = pool.submit(
+                            _execute_keyed,
                             key,
                             job,
                             # repro: allow[DET002] submit timestamp feeds the queue-wait telemetry attribute only
@@ -544,18 +479,12 @@ def _run_parallel(
                             config.job_timeout,
                             config.faults,
                         )
-                        for key, job, attempt in members
-                    ]
-                    try:
-                        fut = pool.submit(_execute_chunk, items)
                     except (BrokenProcessPool, RuntimeError):
-                        todo.extendleft(reversed(members))
+                        todo.appendleft((key, job, attempt))
                         broken = True
                         break
-                    futures[fut] = members
-                    reporter.batch_dispatched(len(members))
-                    for key, job, attempt in members:
-                        reporter.job_started(job.describe())
+                    futures[fut] = (key, job, attempt)
+                    reporter.job_started(job.describe())
                 if broken:
                     break
                 if not futures:
@@ -576,32 +505,30 @@ def _run_parallel(
                     return_when=FIRST_COMPLETED,
                 )
                 for fut in done:
-                    members = futures.pop(fut)
+                    key, job, attempt = futures.pop(fut)
                     try:
-                        chunk_payload = fut.result()
+                        result = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        for key, job, attempt in members:
-                            attempt_failed(
-                                key, job, attempt,
-                                "worker process died", "worker died",
-                            )
+                        attempt_failed(
+                            key, job, attempt,
+                            "worker process died", "worker died",
+                        )
                     except PicklingError:
-                        todo.extendleft(reversed(members))
+                        todo.appendleft((key, job, attempt))
                         unpicklable = True
                         broken = True
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except BaseException as exc:
                         # Result-channel trouble for this one future; treat
-                        # as failed attempts, not pool death.
-                        for key, job, attempt in members:
-                            attempt_failed(
-                                key, job, attempt,
-                                f"{type(exc).__name__}: {exc}", "channel error",
-                            )
+                        # as a failed attempt, not pool death.
+                        attempt_failed(
+                            key, job, attempt,
+                            f"{type(exc).__name__}: {exc}", "channel error",
+                        )
                     else:
-                        absorb_chunk(members, chunk_payload)
+                        absorb(key, job, attempt, result)
         except (KeyboardInterrupt, SystemExit):
             # Don't leave orphaned workers grinding after a Ctrl-C: the
             # shutdown below won't wait, so kill them explicitly.
@@ -615,8 +542,7 @@ def _run_parallel(
         if unpicklable:
             # Deterministic serialization failure: retrying through the
             # pool cannot help, so hand everything to the serial path.
-            for fut, members in futures.items():
-                todo.extend(members)
+            todo.extend(futures.values())
             return leftover()
         # The pool died.  Salvage futures that completed before the death
         # (their results are real — losing them was the old data-loss bug),
@@ -625,23 +551,19 @@ def _run_parallel(
         restarts += 1
         telemetry.inc("engine.pool.restarts")
         reporter.pool_restarted(restarts)
-        for fut, members in list(futures.items()):
-            salvaged = False
+        for fut, (key, job, attempt) in futures.items():
             if fut.done() and not fut.cancelled():
                 try:
-                    chunk_payload = fut.result()
-                # repro: allow[EXC001] salvage probe on a dead pool's future; unsalvaged jobs are charged an attempt below
+                    result = fut.result()
+                # repro: allow[EXC001] salvage probe on a dead pool's future; an unsalvaged job is charged an attempt below
                 except BaseException:
                     pass
                 else:
-                    absorb_chunk(members, chunk_payload)
-                    salvaged = True
-            if not salvaged:
-                for key, job, attempt in members:
-                    attempt_failed(
-                        key, job, attempt,
-                        "worker process died", "worker died",
-                    )
+                    absorb(key, job, attempt, result)
+                    continue
+            attempt_failed(
+                key, job, attempt, "worker process died", "worker died"
+            )
         if restarts > _POOL_RESTART_LIMIT:
             telemetry.inc("engine.pool.degraded_serial")
             return leftover()

@@ -81,9 +81,6 @@ class ProgressReporter:
     failed: int = field(default=0, init=False)
     retried: int = field(default=0, init=False)
     pool_restarts: int = field(default=0, init=False)
-    #: Size of the most recently dispatched chunk (0 = per-trial dispatch
-    #: or nothing dispatched yet); shown in the status line.
-    batch_size: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.stream is None:
@@ -137,19 +134,6 @@ class ProgressReporter:
         self.pool_restarts = count
         self._emit(f"worker pool died, rebuilding (restart {count})", force=True)
 
-    def batch_dispatched(self, size: int) -> None:
-        """A chunk of ``size`` trial jobs was handed to one worker future.
-
-        Feeds the ``engine.jobs.batched`` counter (trials that travelled
-        in a multi-trial chunk) and the ``engine.batch.size`` gauge, and
-        keeps the status line's ``batch=N`` current.  Per-trial dispatch
-        (``size == 1``) only updates the gauge.
-        """
-        self.batch_size = size
-        counters.gauge("engine.batch.size", size)
-        if size > 1:
-            counters.inc("engine.jobs.batched", size)
-
     # -- rendering ---------------------------------------------------------
     def elapsed(self) -> float:
         """Wall-clock seconds since the reporter was created."""
@@ -174,8 +158,6 @@ class ProgressReporter:
             f"({self.cached} cached, {self.running} running) | "
             f"{rate:.1f} trials/s"
         )
-        if self.batch_size > 1:
-            line += f" | batch={self.batch_size}"
         if self.failed:
             line += f" | {self.failed} failed"
         if self.retried:

@@ -21,13 +21,9 @@ Durability model (the fault-tolerant engine's contract):
   ``os.replace``, then fsyncs the directory — so the rename is never
   visible before its contents are durable and a crash at any instant
   leaves either the old journal or the complete new one.
-* **Transparent migration.**  Stores written by the previous layout (one
-  ``<job-key>.json`` file per trace) are absorbed into the journal the
-  first time the directory is opened; each legacy file is removed only
-  after its line has been durably appended.
 
-Unreadable or schema-mismatched entries are treated as cache misses rather
-than errors.
+Unreadable, mistyped or schema-mismatched entries are treated as cache
+misses rather than errors.
 """
 
 from __future__ import annotations
@@ -52,8 +48,7 @@ __all__ = [
 ]
 
 #: Version of the artifact payload; mismatched entries are ignored (cache
-#: miss).  The journal stores the same payload the legacy per-key files
-#: held, which is what makes migration a pure container change.
+#: miss).
 STORE_SCHEMA_VERSION = 1
 
 #: File name of the append-only journal inside the store directory.
@@ -202,11 +197,10 @@ class ResultStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.root / JOURNAL_NAME
-        #: key → ("journal", offset, length) or ("file", Path) locator.
-        self._index: "dict[str, tuple]" = {}
+        #: key → (offset, length) of its live journal line.
+        self._index: "dict[str, tuple[int, int]]" = {}
         self._dead_lines = 0
         self._replay()
-        self._migrate_legacy()
         if (
             self._dead_lines >= _COMPACT_MIN_DEAD
             and self._dead_lines >= _COMPACT_DEAD_RATIO * max(len(self._index), 1)
@@ -224,19 +218,18 @@ class ResultStore:
         self._index.clear()
         self._dead_lines = 0
         for line_offset, length, payload in iter_jsonl(self.journal_path):
-            try:
-                key = (payload or {})["key"]
-            except (KeyError, TypeError):
+            key = payload.get("key") if isinstance(payload, dict) else None
+            if not isinstance(key, str):
                 if payload is not None:
-                    # Parsable JSON without a key is corrupt for this
-                    # store's schema (iter_jsonl already counted raw
+                    # Parsable JSON without a string key is corrupt for
+                    # this store's schema (iter_jsonl already counted raw
                     # JSON damage as corrupt).
                     counters.inc("engine.store.corrupt_lines")
                 self._dead_lines += 1
                 continue
             if key in self._index:
                 self._dead_lines += 1
-            self._index[key] = ("journal", line_offset, length)
+            self._index[key] = (line_offset, length)
 
     def _append(self, payload: dict) -> "tuple[int, int]":
         """Durably append one payload line; returns its (offset, length).
@@ -251,75 +244,47 @@ class ResultStore:
             with open(self.journal_path, "rb") as fh:
                 fh.seek(offset)
                 raw = fh.read(length)
-            return json.loads(raw)
+            payload = json.loads(raw)
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
-
-    def _migrate_legacy(self) -> None:
-        """Absorb per-key ``<job-key>.json`` files (the pre-journal layout).
-
-        Each readable legacy artifact is appended to the journal and then
-        unlinked; unreadable ones are left in place and ignored.  Files
-        whose key already has a journal entry are simply dropped — the
-        journal is authoritative.
-        """
-        for path in sorted(self.root.glob("*.json")):
-            if path.name.startswith(".tmp-"):
-                continue
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                key = payload["key"]
-            # repro: allow[EXC001] unreadable legacy artifact is deliberately a cache miss, per the durability model
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
-                continue
-            if key not in self._index:
-                offset, length = self._append(payload)
-                self._index[key] = ("journal", offset, length)
-                counters.inc("engine.store.migrated_artifacts")
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover  # repro: allow[EXC001] read-only store: leaving the migrated legacy file is harmless
-                pass
+        return payload if isinstance(payload, dict) else None
 
     @staticmethod
     def _decode(payload: "dict | None") -> "LearningHistory | None":
-        """Validate a payload's schema stack and decode the trace."""
+        """Decode the trace :meth:`put` wrote; ``None`` for any other shape.
+
+        Beyond the schema stack, a mistyped field surfaces while decoding
+        as one of the caught errors, so it too is a cache miss.
+        """
         if payload is None:
             return None
+        job = payload.get("job")
+        if (
+            payload.get("store_schema") != STORE_SCHEMA_VERSION
+            or not isinstance(job, dict)
+            or job.get("schema") != JOB_SCHEMA_VERSION
+        ):
+            return None
         try:
-            if payload.get("store_schema") != STORE_SCHEMA_VERSION:
-                return None
-            if payload.get("job", {}).get("schema") != JOB_SCHEMA_VERSION:
-                return None
             return LearningHistory.from_dict(payload["history"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, AttributeError):
             return None
 
     # -- public API ---------------------------------------------------------
-    def path(self, key: str) -> Path:
-        """Legacy per-key artifact path (pre-journal layout)."""
-        return self.root / f"{key}.json"
-
     def get(self, key: str) -> "LearningHistory | None":
         """Load the stored trace for ``key``; ``None`` on miss or bad entry."""
         locator = self._index.get(key)
         if locator is None:
             return None
-        if locator[0] == "journal":
-            payload = self._read_at(locator[1], locator[2])
-            if payload is not None and payload.get("key") != key:
-                # Another process appended to the journal since we
-                # indexed it; rebuild the index once and retry.
-                self._replay()
-                locator = self._index.get(key)
-                if locator is None or locator[0] != "journal":
-                    return None
-                payload = self._read_at(locator[1], locator[2])
-            return self._decode(payload)
-        try:  # pragma: no cover - only after a failed migration
-            payload = json.loads(Path(locator[1]).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            return None
+        payload = self._read_at(*locator)
+        if payload is not None and payload.get("key") != key:
+            # Another process appended to the journal since we indexed
+            # it; rebuild the index once and retry.
+            self._replay()
+            locator = self._index.get(key)
+            if locator is None:
+                return None
+            payload = self._read_at(*locator)
         return self._decode(payload)
 
     def put(self, job: TrialJob, history: LearningHistory) -> Path:
@@ -339,7 +304,7 @@ class ResultStore:
         if job.key() in self._index:
             self._dead_lines += 1
         offset, length = self._append(payload)
-        self._index[job.key()] = ("journal", offset, length)
+        self._index[job.key()] = (offset, length)
         return self.journal_path
 
     def compact(self) -> None:
@@ -351,20 +316,14 @@ class ResultStore:
         complete — and the directory entry is fsynced after.
         """
         live: "list[tuple[str, dict]]" = []
-        new_index: "dict[str, tuple]" = {}
         for key, locator in self._index.items():
-            if locator[0] == "journal":
-                payload = self._read_at(locator[1], locator[2])
-                if payload is not None:
-                    live.append((key, payload))
-            else:
-                new_index[key] = locator
+            payload = self._read_at(*locator)
+            if payload is not None:
+                live.append((key, payload))
         locators = replace_jsonl(
             self.journal_path, (payload for _, payload in live)
         )
-        for (key, _), (offset, length) in zip(live, locators):
-            new_index[key] = ("journal", offset, length)
-        self._index = new_index
+        self._index = {key: loc for (key, _), loc in zip(live, locators)}
         self._dead_lines = 0
         counters.inc("engine.store.compactions")
 

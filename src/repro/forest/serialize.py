@@ -7,10 +7,10 @@ survive a round trip to disk.
 
 Format version 2 stores the ensemble in its packed SoA form
 (:class:`~repro.forest.packed.PackedForest`): eight concatenated node
-arrays plus the per-tree offsets vector, instead of version 1's eight
-arrays *per tree*.  Loading re-slices the per-tree views lazily and hands
-the packed form straight to the forest, so a loaded model predicts without
-ever rebuilding it.  Version-1 files remain readable.
+arrays plus the per-tree offsets vector.  Loading re-slices the per-tree
+views lazily and hands the packed form straight to the forest, so a
+loaded model predicts without ever rebuilding it.  Any other version is
+rejected.
 """
 
 from __future__ import annotations
@@ -20,22 +20,10 @@ import numpy as np
 from repro.envelope import EnvelopeError, describe_file, read_npz_payload, require_keys
 from repro.forest.forest import RandomForestRegressor
 from repro.forest.packed import FIELDS, PackedForest
-from repro.forest.tree import RegressionTree
 
 __all__ = ["save_forest", "load_forest", "forest_payload", "forest_from_payload"]
 
 _FORMAT_VERSION = 2
-
-_TREE_FIELDS = (
-    "feature_",
-    "threshold_",
-    "left_",
-    "right_",
-    "value_",
-    "variance_",
-    "count_",
-    "impurity_",
-)
 
 
 def forest_payload(model: RandomForestRegressor) -> dict[str, np.ndarray]:
@@ -64,42 +52,19 @@ def save_forest(model: RandomForestRegressor, path: str) -> None:
     np.savez_compressed(path, **forest_payload(model))
 
 
-def _load_v1(data) -> list[RegressionTree]:
-    n_trees = int(data["n_trees"])
-    n_features = int(data["n_features"])
-    trees = []
-    for i in range(n_trees):
-        tree = RegressionTree()
-        for field in _TREE_FIELDS:
-            setattr(tree, field, data[f"tree{i}_{field}"])
-        tree.n_features_ = n_features
-        tree._fitted = True
-        trees.append(tree)
-    return trees
-
-
 def forest_from_payload(data) -> RandomForestRegressor:
-    """Rebuild a forest from a format-1/2 payload mapping (dict or npz).
+    """Rebuild a forest from a format-2 payload mapping (dict or npz).
 
-    Raises ``ValueError`` for node arrays that fail the structure check
-    every :class:`PackedForest` runs on construction, before anything
-    traverses them.
+    Raises ``ValueError`` for any other format version, and for node
+    arrays that fail the structure check every :class:`PackedForest` runs
+    on construction, before anything traverses them.
     """
     version = int(data["format_version"])
     uncertainty = str(data["uncertainty"])
-    if version == 1:
-        trees = _load_v1(data)
-        packed = PackedForest.from_trees(trees)
-        model = RandomForestRegressor(
-            n_estimators=len(trees), uncertainty=uncertainty
-        )
-        model.trees_ = trees
-        model._packed = packed
-        return model
     if version != _FORMAT_VERSION:
         raise ValueError(
             f"unsupported forest format version {version} "
-            f"(this build reads <= {_FORMAT_VERSION})"
+            f"(this build reads only version {_FORMAT_VERSION})"
         )
     packed = PackedForest(
         *(np.asarray(data[f"packed_{name}"]) for name in FIELDS),
@@ -116,13 +81,13 @@ def forest_from_payload(data) -> RandomForestRegressor:
 
 #: What a forest loader expects, embedded in every EnvelopeError it raises.
 _EXPECTED = (
-    f"a repro forest .npz (format_version <= {_FORMAT_VERSION}, "
+    f"a repro forest .npz (format_version {_FORMAT_VERSION}, "
     "packed node arrays; see repro.forest.serialize)"
 )
 
 
 def load_forest(path: str) -> RandomForestRegressor:
-    """Load a forest saved by :func:`save_forest` (format 1 or 2).
+    """Load a forest saved by :func:`save_forest` (format 2).
 
     The returned model predicts (with uncertainty) but holds no training
     data, so it cannot be :meth:`~RandomForestRegressor.update`-d; refit

@@ -88,8 +88,7 @@ class SamplingStrategy(ABC):
         """Per-configuration acquisition scores (higher = more desirable).
 
         Only *score-based* strategies (PWU, MaxU, BestPerf, EI, variants)
-        implement this; filter-based ones (PBUS, BRS, random) raise.  The
-        batch-diversification wrapper builds on this hook.
+        implement this; filter-based ones (PBUS, BRS, random) raise.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not expose per-configuration scores"

@@ -27,8 +27,8 @@ The fault-tolerance layer reports through the same namespace, so
   dies, so its increments are lost with the worker by design — observe
   crashes via ``engine.pool.restarts`` instead);
 * ``engine.store.torn_tail_dropped`` / ``engine.store.corrupt_lines`` /
-  ``engine.store.migrated_artifacts`` / ``engine.store.compactions`` —
-  journal-replay repairs and maintenance in the result store.
+  ``engine.store.compactions`` — journal-replay repairs and maintenance
+  in the result store.
 """
 
 from __future__ import annotations

@@ -159,17 +159,6 @@ class TestHistoryRoundTrip:
         clone = LearningHistory.from_dict(json.loads(json.dumps(h.to_dict())))
         assert clone.records == h.records
 
-    def test_legacy_summary_form(self):
-        legacy = {
-            "n_train": [8, 12],
-            "cumulative_cost": [1.0, 2.0],
-            "rmse": {"0.05": [0.5, 0.25]},
-        }
-        h = LearningHistory.from_dict(legacy)
-        assert h.n_train.tolist() == [8, 12]
-        assert h.rmse_series("0.05").tolist() == [0.5, 0.25]
-        assert h.records[0].selected == ()
-
     def test_executed_trace_roundtrips(self, two_trial_scale):
         job = trial_jobs("mvt", "pwu", two_trial_scale, seed=0)[0]
         history = execute_job(job)
@@ -390,6 +379,7 @@ class TestProgressTelemetry:
         rep.job_started("a")
         rep.job_finished("a")
         assert "1/1 done" in stream.getvalue()
+        assert "trials/s" in stream.getvalue()
         rep.close()
         assert "\r" not in stream.getvalue()  # plain lines, no redraws
 

@@ -30,7 +30,7 @@ from repro.engine.faults import (
     SimulatedCrash,
     fault_roll,
 )
-from repro.engine.store import STORE_SCHEMA_VERSION
+from repro.engine.store import append_jsonl
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import strategy_trace
 from repro.telemetry import counters
@@ -245,7 +245,7 @@ class TestCrashRecovery:
         """The acceptance bar: mixed faults, serial and parallel, identical."""
         jobs, expect = baseline
         spec = "crash:0.4,exc:0.4,slow:0.3:1:0.05"
-        for n in (1, 2):
+        for n in (1, 2, 4):
             results, stats = run_jobs(
                 jobs, config=_cfg(jobs=n, faults=spec, max_retries=3)
             )
@@ -339,7 +339,7 @@ class TestJournalDurability:
         store.put(j0, h0)
         store.put(j1, execute_job(j1))
         size = store.journal_path.stat().st_size
-        first_len = store._index[j0.key()][2]
+        first_len = len(store.journal_path.read_bytes().splitlines(True)[0])
         backup = tmp_path / "journal.bak"
         shutil.copy(store.journal_path, backup)
         for cut in range(first_len, size, 37):  # sample positions
@@ -416,25 +416,37 @@ class TestJournalDurability:
         assert store.cleanup_tmp() == 1
         assert not list(Path(tmp_path).glob(".tmp-*"))
 
-    def test_legacy_per_key_files_migrate_transparently(
-        self, tmp_path, two_trial_scale
+    @pytest.mark.parametrize(
+        "mistype",
+        [
+            lambda p: p.update(key=["a"]),
+            lambda p: p.update(key=5),
+            lambda p: p.update(job="spec"),
+            lambda p: p["history"]["records"][0].update(rmse=[0.5]),
+            lambda p: p.update(
+                history={
+                    "n_train": p["history"]["n_train"],
+                    "cumulative_cost": p["history"]["cumulative_cost"],
+                    "rmse": {"0.05": [0.5]},
+                }
+            ),
+        ],
+        ids=["list-key", "int-key", "job-str", "rmse-list", "summary-only"],
+    )
+    def test_mistyped_line_is_skipped_or_a_miss(
+        self, tmp_path, two_trial_scale, mistype
     ):
-        job = trial_jobs("mvt", "random", two_trial_scale, seed=0)[0]
-        history = execute_job(job)
-        legacy = {
-            "store_schema": STORE_SCHEMA_VERSION,
-            "key": job.key(),
-            "job": job.spec(),
-            "history": history.to_dict(),
-        }
-        legacy_path = tmp_path / f"{job.key()}.json"
-        legacy_path.write_text(json.dumps(legacy), encoding="utf-8")
-        store = ResultStore(tmp_path)
-        assert store.get(job.key()).records == history.records
-        assert not legacy_path.exists(), "legacy artifact not absorbed"
-        assert store.journal_path.exists()
-        # And the migrated journal round-trips through a fresh open.
-        assert ResultStore(tmp_path).get(job.key()).records == history.records
+        """Parseable JSON of the wrong shape never raises out of the store."""
+        job, other = trial_jobs("mvt", "random", two_trial_scale, seed=0)
+        store, history = self._put_one(tmp_path, job)
+        payload = json.loads(store.journal_path.read_bytes())
+        payload["key"] = other.key()
+        mistype(payload)
+        append_jsonl(store.journal_path, payload)
+        reopened = ResultStore(tmp_path)
+        assert set(reopened.keys()) <= {job.key(), other.key()}
+        assert reopened.get(other.key()) is None
+        assert reopened.get(job.key()).records == history.records
 
     def test_compaction_drops_dead_lines_losslessly(
         self, tmp_path, two_trial_scale

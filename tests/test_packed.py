@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro.forest._cgrower as _cgrower
+from repro.envelope import EnvelopeError
 from repro.forest import PackedForest, RandomForestRegressor, load_forest, save_forest
 from repro.forest.packed import FIELDS
 
@@ -386,32 +387,14 @@ class TestSerializeV2:
         with pytest.raises(ValueError, match="unfitted"):
             save_forest(RandomForestRegressor(), str(tmp_path / "x.npz"))
 
-    def test_loads_v1_format(self, rng, tmp_path):
-        model, X = _fitted_forest(rng, n_estimators=4)
-        payload = {
-            "format_version": np.asarray(1),
-            "n_trees": np.asarray(len(model.trees_)),
-            "n_features": np.asarray(model.trees_[0].n_features_),
-            "uncertainty": np.asarray(model.uncertainty),
-        }
-        for i, tree in enumerate(model.trees_):
-            for field in _TREE_FIELDS:
-                payload[f"tree{i}_{field}"] = getattr(tree, field)
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **payload)
-        loaded = load_forest(str(path))
-        assert (loaded.predict(X) == model.predict(X)).all()
-        mu_a, sd_a = model.predict_with_uncertainty(X)
-        mu_b, sd_b = loaded.predict_with_uncertainty(X)
-        assert (mu_a == mu_b).all() and (sd_a == sd_b).all()
-
     def test_unknown_version_rejected(self, rng, tmp_path):
         model, _ = _fitted_forest(rng, n_estimators=2)
         path = tmp_path / "forest.npz"
         save_forest(model, str(path))
         with np.load(path) as data:
             payload = dict(data)
-        payload["format_version"] = np.asarray(99)
-        np.savez_compressed(path, **payload)
-        with pytest.raises(ValueError, match="version 99"):
-            load_forest(str(path))
+        for version in (1, 99):
+            payload["format_version"] = np.asarray(version)
+            np.savez_compressed(path, **payload)
+            with pytest.raises(EnvelopeError, match=f"version {version}"):
+                load_forest(str(path))

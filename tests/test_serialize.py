@@ -46,15 +46,18 @@ class TestErrors:
             save_forest(RandomForestRegressor(), str(tmp_path / "f.npz"))
 
     def test_version_checked(self, fitted, tmp_path):
+        from repro.envelope import EnvelopeError
+
         model, _ = fitted
         path = str(tmp_path / "f.npz")
         save_forest(model, path)
         with np.load(path) as data:
             payload = {k: data[k] for k in data.files}
-        payload["format_version"] = np.asarray(99)
-        np.savez_compressed(path, **payload)
-        with pytest.raises(ValueError, match="version"):
-            load_forest(path)
+        for version in (1, 99):
+            payload["format_version"] = np.asarray(version)
+            np.savez_compressed(path, **payload)
+            with pytest.raises(EnvelopeError, match=f"version {version}"):
+                load_forest(path)
 
     def test_loaded_forest_cannot_update(self, fitted, tmp_path, regression_data):
         model, _ = fitted
@@ -170,23 +173,3 @@ class TestCorruptNodeArrays:
         with pytest.raises(EnvelopeError) as err:
             load(str(path))
         assert str(path) in str(err.value)
-
-    def test_v1_payload_checked_too(self, fitted, tmp_path):
-        from repro.envelope import EnvelopeError
-        from repro.forest.serialize import _TREE_FIELDS
-
-        model, _ = fitted
-        payload = {
-            "format_version": np.asarray(1),
-            "n_trees": np.asarray(len(model.trees_)),
-            "n_features": np.asarray(model.trees_[0].n_features_),
-            "uncertainty": np.asarray(model.uncertainty),
-        }
-        for i, tree in enumerate(model.trees_):
-            for field in _TREE_FIELDS:
-                payload[f"tree{i}_{field}"] = getattr(tree, field).copy()
-        payload["tree0_left_"][0] = 0  # the root points at itself
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **payload)
-        with pytest.raises(EnvelopeError, match="child"):
-            load_forest(str(path))
