@@ -2,24 +2,21 @@
 
 ``repro.analysis`` parses source trees with :mod:`ast`, resolves a
 lightweight per-module symbol table, and checks a registry of rules
-against the repo's determinism and concurrency contracts — RNG streams
-derive from job keys (DET001), result paths read no wall clocks
-(DET002) or unordered sets (DET003) or ambient environment (DET004),
+against the repo's determinism and concurrency contracts — result paths
+read no wall clocks (DET002) or ambient environment (DET004),
 worker-visible module state is lock-guarded or justified (SPAWN001),
 telemetry names are literal and namespace-disciplined (TEL001), file
-writes go through the journal/atomic helpers (IO001), and no handler
-swallows exceptions silently (EXC001).
+writes go through the journal/atomic helpers (IO001), no handler
+swallows exceptions silently (EXC001), and no generator parameter is
+drawn on only one branch path (FLOW002).
 
 On top of the per-module rules sits a whole-program pass: the
 :mod:`~repro.analysis.graph` module builds a project-wide import graph
-and a resolved intra-package call graph, and the FLOW/RACE/ARCH rule
-families run dataflow over it — un-derived RNG reaching worker-reachable
-code (FLOW001), generator parameters consumed on only one branch path
-(FLOW002), shared state touched on thread-reachable paths without the
-guarding lock (RACE001), inconsistent lock acquisition order (RACE002),
-and the layering contract over imports (ARCH001).  Results are cached
-incrementally (:mod:`~repro.analysis.cache`) with content-hash keys and
-transitive invalidation through the import graph.
+and a resolved intra-package call graph, and RACE001 runs a must-hold
+dataflow over it to find shared state touched on thread-reachable paths
+without the guarding lock.  Results are cached incrementally
+(:mod:`~repro.analysis.cache`) with content-hash keys and transitive
+invalidation through the import graph.
 
 Run it as ``repro lint`` or ``python -m repro.analysis [paths...]``;
 the pytest gate ``tests/test_lint_clean.py`` keeps ``src/repro``

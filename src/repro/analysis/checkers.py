@@ -21,7 +21,7 @@ from typing import Iterator
 from repro.analysis.rules import rule
 from repro.analysis.symbols import ModuleContext, parent_chain
 
-__all__ = ["TELEMETRY_NAME_GRAMMAR"]
+__all__ = ["RNG_DRAW_METHODS", "TELEMETRY_NAME_GRAMMAR"]
 
 Hit = "tuple[int, int, str]"
 
@@ -30,66 +30,25 @@ def _hit(node: ast.AST, message: str) -> "tuple[int, int, str]":
     return (node.lineno, node.col_offset, message)
 
 
-# -- DET001: ambient RNG state ---------------------------------------------
-
-#: ``numpy.random`` attributes that construct explicit generators (fine)
-#: rather than touching the hidden global stream (not fine).
-_NP_RANDOM_ALLOWED = {
-    "default_rng",
-    "Generator",
-    "SeedSequence",
-    "BitGenerator",
-    "PCG64",
-    "PCG64DXSM",
-    "Philox",
-    "SFC64",
-    "MT19937",
-}
-
-#: ``random`` attributes that construct independent instances (fine).
-_STDLIB_RANDOM_ALLOWED = {"Random", "SystemRandom"}
+def _scopes(tree: ast.Module):
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
 
 
-@rule(
-    "DET001",
-    "bare random.*/np.random.* global-state call",
-    "Hidden module-global RNG streams make results depend on call order "
-    "and process layout; every stream must be an explicit Generator "
-    "derived from a job key (rng.py is the only blessed constructor site).",
-)
-def check_det001(module: ModuleContext) -> Iterator[Hit]:
-    """Violating::
-
-        np.random.seed(0)
-        x = np.random.rand(3)
-
-    Clean::
-
-        rng = derive(seed, "sampling")   # repro.rng
-        x = rng.random(3)
-    """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        qualified = module.symbols.qualified(node.func)
-        if not qualified:
-            continue
-        if qualified.startswith("random."):
-            attr = qualified.split(".", 1)[1]
-            if "." not in attr and attr not in _STDLIB_RANDOM_ALLOWED:
-                yield _hit(
-                    node,
-                    f"global-state RNG call {qualified}(); derive an explicit "
-                    "Generator via repro.rng instead",
-                )
-        elif qualified.startswith("numpy.random."):
-            attr = qualified.split("numpy.random.", 1)[1]
-            if "." not in attr and attr not in _NP_RANDOM_ALLOWED:
-                yield _hit(
-                    node,
-                    f"global-state RNG call np.random.{attr}(); derive an "
-                    "explicit Generator via repro.rng instead",
-                )
+def _scope_body_walk(scope: ast.AST):
+    """Walk a scope without descending into nested function scopes."""
+    stack = list(
+        ast.iter_child_nodes(scope)
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+        else scope.body  # type: ignore[union-attr]
+    )
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 # -- DET002: wall clocks in result paths -----------------------------------
@@ -132,79 +91,6 @@ def check_det002(module: ModuleContext) -> Iterator[Hit]:
                 f"wall-clock read {qualified}() in a result-affecting module "
                 "(telemetry/progress are the allowlisted homes)",
             )
-
-
-# -- DET003: unordered set iteration ---------------------------------------
-
-
-def _is_set_expr(node: ast.expr) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    return False
-
-
-def _scopes(tree: ast.Module):
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _scope_body_walk(scope: ast.AST):
-    """Walk a scope without descending into nested function scopes."""
-    stack = list(
-        ast.iter_child_nodes(scope)
-        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
-        else scope.body  # type: ignore[union-attr]
-    )
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-@rule(
-    "DET003",
-    "iteration over a set without sorted(...)",
-    "Set iteration order depends on hash seeding and insertion history; "
-    "anything feeding results must iterate a sorted materialisation.",
-)
-def check_det003(module: ModuleContext) -> Iterator[Hit]:
-    """Violating::
-
-        for name in {"b", "a"}:
-            emit(name)
-
-    Clean::
-
-        for name in sorted({"b", "a"}):
-            emit(name)
-    """
-    for scope in _scopes(module.tree):
-        set_vars: "set[str]" = set()
-        for node in _scope_body_walk(scope):
-            if isinstance(node, ast.Assign) and _is_set_expr(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        set_vars.add(target.id)
-        for node in _scope_body_walk(scope):
-            iters = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                iters.extend(gen.iter for gen in node.generators)
-            for it in iters:
-                if _is_set_expr(it) or (
-                    isinstance(it, ast.Name) and it.id in set_vars
-                ):
-                    yield _hit(
-                        it,
-                        "iteration over a set has nondeterministic order; "
-                        "iterate sorted(...) instead",
-                    )
 
 
 # -- DET004: ambient environment reads -------------------------------------
@@ -482,91 +368,6 @@ def check_io001(module: ModuleContext) -> Iterator[Hit]:
             )
 
 
-# -- SHM001: shared-memory segment lifecycle ---------------------------------
-
-
-def _finally_method_calls(finalbody: "list[ast.stmt]") -> "set[str]":
-    """Attribute-method names called anywhere under a ``finally`` body."""
-    called: "set[str]" = set()
-    for stmt in finalbody:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                called.add(node.func.attr)
-    return called
-
-
-def _creates_segment(node: ast.Call) -> bool:
-    """Whether this ``SharedMemory(...)`` call owns a new segment.
-
-    Attach sites (``create`` absent or false) borrow a name the creator
-    owns; only creation sites carry the unlink obligation.
-    """
-    for kw in node.keywords:
-        if kw.arg == "create":
-            return isinstance(kw.value, ast.Constant) and kw.value.value is True
-    if len(node.args) > 1:  # SharedMemory(name, create, ...)
-        arg = node.args[1]
-        return isinstance(arg, ast.Constant) and arg.value is True
-    return False
-
-
-@rule(
-    "SHM001",
-    "SharedMemory(create=True) without close()/unlink() on a finally path",
-    "A created segment is a named kernel object that outlives the "
-    "process unless explicitly unlinked; every create site must sit in "
-    "a try whose finally closes and unlinks it (ownership may transfer "
-    "on success — engine/shm.py's registry tears down on the engine's "
-    "finally path — but the error path must clean up in place).",
-)
-def check_shm001(module: ModuleContext) -> Iterator[Hit]:
-    """Violating::
-
-        seg = SharedMemory(create=True, size=n)
-
-    Clean::
-
-        seg = None
-        try:
-            seg = SharedMemory(create=True, size=n)
-            ...
-        finally:
-            if seg is not None:
-                seg.close()
-                seg.unlink()
-    """
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        qualified = module.symbols.qualified(node.func)
-        is_ctor = (
-            qualified == "SharedMemory" or
-            (qualified is not None and qualified.endswith(".SharedMemory"))
-        ) or (
-            isinstance(node.func, ast.Name) and node.func.id == "SharedMemory"
-        )
-        if not is_ctor or not _creates_segment(node):
-            continue
-        guarded = False
-        for ancestor in parent_chain(node):
-            if isinstance(ancestor, ast.Try) and ancestor.finalbody:
-                called = _finally_method_calls(ancestor.finalbody)
-                if "close" in called and "unlink" in called:
-                    guarded = True
-                    break
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        if not guarded:
-            yield _hit(
-                node,
-                "SharedMemory(create=True) is not enclosed in a try whose "
-                "finally calls .close() and .unlink(); the segment can "
-                "leak past the engine run",
-            )
-
-
 # -- EXC001: swallowed exceptions --------------------------------------------
 
 
@@ -622,6 +423,28 @@ def check_exc001(module: ModuleContext) -> Iterator[Hit]:
 
 # -- FLOW002: path-asymmetric Generator consumption ---------------------------
 
+#: Generator methods that consume draws from the stream.
+RNG_DRAW_METHODS = {
+    "random",
+    "integers",
+    "normal",
+    "standard_normal",
+    "uniform",
+    "choice",
+    "permutation",
+    "permuted",
+    "shuffle",
+    "exponential",
+    "standard_exponential",
+    "beta",
+    "gamma",
+    "binomial",
+    "poisson",
+    "lognormal",
+    "bytes",
+    "bit_generator",
+}
+
 
 def _generator_params(fn: ast.AST) -> "list[str]":
     """Parameters that carry an RNG stream: named ``rng`` or
@@ -649,8 +472,6 @@ def _walk_no_nested(stmts: "list[ast.stmt]"):
 
 
 def _draw_nodes(stmts: "list[ast.stmt]", param: str) -> "list[ast.AST]":
-    from repro.analysis.graph import RNG_DRAW_METHODS
-
     out = []
     for node in _walk_no_nested(stmts):
         if (

@@ -2,17 +2,16 @@
 
 The default configuration encodes the repo's reproducibility contract:
 which files are the *blessed homes* of otherwise-forbidden constructs
-(``rng.py`` for RNG construction, ``engine/context.py``,
-``forest/_cgrower.py`` and ``service/config.py`` for environment reads,
-``engine/store.py`` for raw file writes, the telemetry/progress modules
-for wall clocks) and
+(``engine/context.py``, ``forest/_cgrower.py`` and ``service/config.py``
+for environment reads, ``engine/store.py`` for raw file writes, the
+telemetry/progress modules for wall clocks) and
 which trees are harness code where a rule does not apply (tests and
 benchmarks may read clocks and environment variables; tests may write
 scratch files and use free-form telemetry names).
 
 Path patterns are :mod:`fnmatch` globs matched against ``"/" + path``
-with ``/`` separators, so ``*/repro/rng.py`` matches that file at any
-depth and regardless of the lint root.
+with ``/`` separators, so ``*/repro/engine/store.py`` matches that file
+at any depth and regardless of the lint root.
 """
 
 from __future__ import annotations
@@ -113,7 +112,6 @@ def default_config() -> LintConfig:
     harness = ("*/tests/*", "*/benchmarks/*", "*/examples/*")
     return LintConfig(
         rules={
-            "DET001": RuleConfig(allow_paths=("*/repro/rng.py",)),
             "DET002": RuleConfig(
                 allow_paths=(
                     "*/repro/telemetry/*",
@@ -121,7 +119,6 @@ def default_config() -> LintConfig:
                     *harness,
                 )
             ),
-            "DET003": RuleConfig(),
             "DET004": RuleConfig(
                 allow_paths=(
                     "*/repro/engine/context.py",
@@ -136,19 +133,13 @@ def default_config() -> LintConfig:
                 # the pool initializer before any job runs.
                 allow_paths=("*/repro/engine/shm.py",)
             ),
-            "SHM001": RuleConfig(),
             "TEL001": RuleConfig(allow_paths=harness),
             "IO001": RuleConfig(
                 allow_paths=("*/repro/engine/store.py", *harness)
             ),
             "EXC001": RuleConfig(),
-            # rng.py is where underived generators are *made* — every
-            # construction inside it would otherwise be its own source.
-            "FLOW001": RuleConfig(allow_paths=("*/repro/rng.py", *harness)),
             "FLOW002": RuleConfig(allow_paths=harness),
             "RACE001": RuleConfig(allow_paths=harness),
-            "RACE002": RuleConfig(allow_paths=harness),
-            "ARCH001": RuleConfig(allow_paths=harness),
         },
     )
 

@@ -1,11 +1,10 @@
 """A small fixed-point engine over the project call graph.
 
-The whole-program rules (see :mod:`repro.analysis.graph_rules`) all
-reduce to propagating simple facts along call edges until nothing
-changes — which functions can execute inside a pool worker, which
-parameters ultimately feed RNG draws, which locks are held on every
-thread path into a function.  :func:`fixed_point` is the one worklist
-loop they share; the lattices differ only in their ``join``.
+The whole-program rule (see :mod:`repro.analysis.graph_rules`) reduces
+to propagating simple facts along call edges until nothing changes:
+which locks are held on every thread path into a function.
+:func:`fixed_point` is that worklist loop; the lattice is given by its
+``join``.
 
 Facts are compared with ``==`` and must be hashable-free plain values
 (bools, frozensets, ``None``); ``transfer`` callbacks let an edge modify
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Mapping
 
-__all__ = ["fixed_point", "reachable", "union_join", "intersect_join", "or_join"]
+__all__ = ["fixed_point", "intersect_join"]
 
 #: Sentinel distinguishing "no fact yet" from a legitimate ``None`` fact.
 _MISSING = object()
@@ -39,13 +38,12 @@ def fixed_point(
     ``transfer(fact)`` (identity when ``None``) is the edge's
     contribution to the destination, merged into the destination's
     current fact with ``join``.  A destination with no fact yet adopts
-    the contribution unchanged — so ``join`` never sees the implicit
-    bottom and each lattice can pick its own (union and intersection
-    need different bottoms, which the sentinel sidesteps).
+    the contribution unchanged — so ``join`` never sees an implicit
+    bottom (an intersection join would otherwise need the set of every
+    lock as its starting fact, which the sentinel sidesteps).
 
     Termination is the caller's contract: ``join`` must be monotone over
-    a finite lattice (all uses here are boolean or finite lock/function
-    sets).
+    a finite lattice (the use here is finite lock sets).
     """
     facts: "dict[Hashable, object]" = dict(seeds)
     work = sorted(facts, key=repr)
@@ -64,29 +62,7 @@ def fixed_point(
     return facts
 
 
-def reachable(
-    seeds: "Iterable[Hashable]",
-    successors: "Mapping[Hashable, Iterable[Hashable]]",
-) -> "set[Hashable]":
-    """Transitive closure of ``seeds`` over the ``successors`` relation."""
-    facts = fixed_point(
-        {seed: True for seed in seeds},
-        {src: tuple((dst, None) for dst in dsts) for src, dsts in successors.items()},
-        or_join,
-    )
-    return {node for node, fact in facts.items() if fact}
-
-
-def union_join(a: frozenset, b: frozenset) -> frozenset:
-    """May-analysis join: a fact holds if it holds on *any* path."""
-    return a | b
-
-
 def intersect_join(a: frozenset, b: frozenset) -> frozenset:
     """Must-analysis join: a fact holds only if it holds on *every* path."""
     return a & b
 
-
-def or_join(a: bool, b: bool) -> bool:
-    """Boolean reachability join."""
-    return a or b

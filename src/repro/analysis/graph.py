@@ -1,10 +1,11 @@
 """Project-wide import graph and resolved intra-package call graph.
 
-The per-module checkers see one file at a time; the whole-program rules
-(FLOW/RACE/ARCH — :mod:`repro.analysis.graph_rules`) need to know how
-files relate: who imports whom, which function calls which, what each
-function does with RNG values, locks, and shared state.  This module
-builds that picture in two passes over the already-parsed
+The per-module checkers see one file at a time; the whole-program rule
+(RACE001 — :mod:`repro.analysis.graph_rules`) needs to know how files
+relate: which function calls which, which locks each call site holds,
+and what shared state each function touches.  The import graph also
+drives the lint cache's transitive invalidation.  This module builds
+that picture in two passes over the already-parsed
 :class:`~repro.analysis.symbols.ModuleContext` objects:
 
 1. **collect** — per module: dotted module name (derived from
@@ -14,10 +15,8 @@ builds that picture in two passes over the already-parsed
    mutable attributes, attribute types harvested from ``__init__``),
    and top-level function nodes;
 2. **summarize** — per function: an ordered walk of the body producing
-   a :class:`FunctionSummary` of resolved call sites (with the lock set
-   syntactically held at each), RNG creations classified derived vs.
-   un-derived, RNG parameters drawn from or forwarded, shared-state
-   accesses, and lock acquisitions.
+   a :class:`FunctionSummary` of resolved call sites and shared-state
+   accesses, each with the lock set syntactically held at it.
 
 Resolution is deliberately syntactic and best-effort: local functions,
 ``from X import f`` aliases, ``self.method``, classes named by parameter
@@ -27,16 +26,13 @@ instances from direct construction.  Anything dynamic resolves to
 nothing — the dataflow rules only act on edges that *provably* exist,
 so an unresolved call can hide a violation but never invent one.
 
-Entry points anchor the reachability analyses.  Two markers are
-recognised on a ``def`` line::
+Thread entry points anchor RACE001's analysis.  A marker on a ``def``
+line declares one::
 
-    def execute_job(...):   # repro: worker-entry
     def handle(...):        # repro: thread-entry
 
-and three patterns are auto-detected: functions submitted to an
-executor (``pool.submit(f, ...)``, ``pool.map(f, ...)``), pool
-initializers (``initializer=f``), thread targets
-(``threading.Thread(target=f)``), and ``do_*`` methods of
+and two patterns are auto-detected: thread targets
+(``threading.Thread(target=f)``) and ``do_*`` methods of
 ``*HTTPRequestHandler`` subclasses.
 """
 
@@ -56,30 +52,7 @@ __all__ = [
     "ModuleInfo",
     "build_project_graph",
     "module_name_for",
-    "RNG_DRAW_METHODS",
 ]
-
-#: Generator methods that consume draws from the stream.
-RNG_DRAW_METHODS = {
-    "random",
-    "integers",
-    "normal",
-    "standard_normal",
-    "uniform",
-    "choice",
-    "permutation",
-    "permuted",
-    "shuffle",
-    "exponential",
-    "standard_exponential",
-    "beta",
-    "gamma",
-    "binomial",
-    "poisson",
-    "lognormal",
-    "bytes",
-    "bit_generator",
-}
 
 #: Container methods that mutate the receiver (shared with SPAWN001).
 _MUTATING_METHODS = {
@@ -111,26 +84,12 @@ _MUTABLE_CONSTRUCTORS = {
     "Counter",
 }
 
-_ENTRY_MARK = re.compile(r"#\s*repro:\s*(worker|thread)-entry\b")
-
-_POOL_SUBMIT_METHODS = {"submit", "map", "apply_async", "imap", "imap_unordered"}
+_ENTRY_MARK = re.compile(r"#\s*repro:\s*thread-entry\b")
 
 
 # ---------------------------------------------------------------------------
 # data model
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RngCreation:
-    """One un-derived RNG constructed inside a function."""
-
-    lineno: int
-    col: int
-    desc: str
-    consumed: bool = False
-    #: ``(callee_qualname, callee_param)`` pairs this value is passed to.
-    passes: "list[tuple[str, str]]" = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -156,16 +115,6 @@ class Access:
     held: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class Acquisition:
-    """One ``with <lock>:`` entry, with the locks already held."""
-
-    key: str
-    lineno: int
-    col: int
-    held_before: frozenset = frozenset()
-
-
 @dataclass
 class FunctionSummary:
     """What one function does, as far as the syntactic walk can see."""
@@ -177,16 +126,9 @@ class FunctionSummary:
     name: str
     params: "tuple[str, ...]"
     cls: "str | None" = None
-    worker_entry: bool = False
     thread_entry: bool = False
     calls: "list[CallSite]" = field(default_factory=list)
-    #: own parameters drawn from directly (``rng.normal()``).
-    draws: "set[str]" = field(default_factory=set)
-    #: ``(own_param, callee_qualname, callee_param)`` forwards.
-    forwards: "list[tuple[str, str, str]]" = field(default_factory=list)
-    creations: "list[RngCreation]" = field(default_factory=list)
     accesses: "list[Access]" = field(default_factory=list)
-    acquisitions: "list[Acquisition]" = field(default_factory=list)
 
 
 @dataclass
@@ -404,7 +346,6 @@ class ProjectGraph:
         self.modules: "dict[str, ModuleInfo]" = {}
         self.classes: "dict[str, ClassInfo]" = {}
         self.functions: "dict[str, FunctionSummary]" = {}
-        self.worker_entries: "set[str]" = set()
         self.thread_entries: "set[str]" = set()
 
     # -- queries -------------------------------------------------------------
@@ -460,7 +401,6 @@ class ProjectGraph:
             "call_edges": {
                 src: dsts for src, dsts in sorted(self.call_edges().items()) if dsts
             },
-            "worker_entries": sorted(self.worker_entries),
             "thread_entries": sorted(self.thread_entries),
         }
 
@@ -517,8 +457,6 @@ def build_project_graph(
                 graph.functions[summary.qualname] = summary
 
     for qualname, fn in graph.functions.items():
-        if fn.worker_entry:
-            graph.worker_entries.add(qualname)
         if fn.thread_entry:
             graph.thread_entries.add(qualname)
     return graph
@@ -533,8 +471,6 @@ def build_project_graph(
 #:   ("class", class_qualname)      the class object itself
 #:   ("func", func_qualname)        a resolvable function/method
 #:   ("dotted", "a.b.c")            import-rooted external dotted path
-#:   ("param", name)                one of the function's own parameters
-#:   ("creation", idx)              an un-derived RNG (index into creations)
 #:   ("objattr", cls, attr)         attribute of a known class instance
 #:   None                           anything unresolvable
 
@@ -570,10 +506,8 @@ class _Summarizer:
             params=params,
             cls=cls.qualname if cls else None,
         )
-        self.params = set(params)
         self.locals: "set[str]" = set(params)
         self.local_types: "dict[str, str]" = {}
-        self.underived: "dict[str, int]" = {}
         self.declared_global: "set[str]" = set()
         self.held: "list[str]" = []
         #: function-local lazy imports, same shape as ModuleSymbols.
@@ -586,12 +520,8 @@ class _Summarizer:
                 self.local_types[arg.arg] = resolved
 
     def run(self) -> FunctionSummary:
-        mark = _ENTRY_MARK.search(self.minfo.context.line_text(self.node.lineno))
-        if mark:
-            if mark.group(1) == "worker":
-                self.fn.worker_entry = True
-            else:
-                self.fn.thread_entry = True
+        if _ENTRY_MARK.search(self.minfo.context.line_text(self.node.lineno)):
+            self.fn.thread_entry = True
         self._visit_stmts(self.node.body)
         return self.fn
 
@@ -686,12 +616,8 @@ class _Summarizer:
                     self._record_access("module", self.minfo.name, name, True, target)
                 self.locals.add(name)
                 self.local_types.pop(name, None)
-                self.underived.pop(name, None)
-                if vdesc is not None:
-                    if vdesc[0] == "instance":
-                        self.local_types[name] = vdesc[1]
-                    elif vdesc[0] == "creation":
-                        self.underived[name] = vdesc[1]
+                if vdesc is not None and vdesc[0] == "instance":
+                    self.local_types[name] = vdesc[1]
                 if isinstance(stmt, ast.AnnAssign):
                     resolved = self.graph.resolve_class_ref(
                         self.minfo, _annotation_text(stmt.annotation)
@@ -739,14 +665,6 @@ class _Summarizer:
         for item in stmt.items:
             key = self._lock_key(item.context_expr)
             if key is not None:
-                self.fn.acquisitions.append(
-                    Acquisition(
-                        key=key,
-                        lineno=item.context_expr.lineno,
-                        col=item.context_expr.col_offset,
-                        held_before=frozenset(self.held),
-                    )
-                )
                 self.held.append(key)
                 acquired.append(key)
             else:
@@ -793,12 +711,8 @@ class _Summarizer:
         name = node.id
         if name == "self" and self.cls is not None:
             return ("instance", self.cls.qualname)
-        if name in self.underived:
-            return ("creation", self.underived[name])
         if name in self.local_types:
             return ("instance", self.local_types[name])
-        if name in self.params:
-            return ("param", name)
         if self._is_module_mutable(name):
             self._record_access("module", self.minfo.name, name, False, node)
             return None
@@ -869,10 +783,6 @@ class _Summarizer:
             # keep identifying the container; the call site classifies
             # the method as mutating or not.
             return base
-        if kind in ("param", "creation"):
-            # attribute of a tainted value; the caller (a Call node)
-            # interprets draw methods, nobody else cares.
-            return (f"{kind}attr", base[1], attr)
         return None
 
     def _resolve_base_method(self, cls: ClassInfo, attr: str) -> "str | None":
@@ -890,15 +800,13 @@ class _Summarizer:
 
     # -- calls ---------------------------------------------------------------
     def _eval_call(self, node: ast.Call):
-        arg_descs = [self._eval(a) for a in node.args]
-        kw_descs = [(kw.arg, self._eval(kw.value)) for kw in node.keywords]
+        for arg in node.args:
+            self._eval(arg)
+        for kw in node.keywords:
+            self._eval(kw.value)
         func = node.func
 
-        self._detect_entry_registration(node, func)
-
-        creation = self._rng_creation(node, func)
-        if creation is not None:
-            return ("creation", creation)
+        self._detect_thread_target(node, func)
 
         # g.append(x) on a module-level mutable: classify before the
         # generic eval path records it as a bare read.
@@ -918,15 +826,6 @@ class _Summarizer:
 
         desc = self._eval(func)
 
-        if desc is not None and desc[0] in ("paramattr", "creationattr"):
-            _, owner, attr = desc
-            if attr in RNG_DRAW_METHODS:
-                if desc[0] == "paramattr":
-                    self.fn.draws.add(owner)
-                else:
-                    self.fn.creations[owner].consumed = True
-            return None
-
         if desc is not None and desc[0] == "objattr":
             owner, attr = desc[1], desc[2]
             if (
@@ -945,13 +844,12 @@ class _Summarizer:
         if desc[0] == "class":
             cls = self.graph.classes[desc[1]]
             if "__init__" in cls.methods:
-                self._record_call(f"{desc[1]}.__init__", node, arg_descs, kw_descs, method=True)
+                self._record_call(f"{desc[1]}.__init__", node)
             return ("instance", desc[1])
 
         if desc[0] == "func":
             qual = desc[1]
-            is_method = self._callee_is_method(qual, func)
-            self._record_call(qual, node, arg_descs, kw_descs, method=is_method)
+            self._record_call(qual, node)
             ret = self._return_class(qual)
             if ret:
                 return ("instance", ret)
@@ -962,43 +860,6 @@ class _Summarizer:
             # recorded any shared-state reads among the arguments.
             return None
         return None
-
-    def _callee_is_method(self, qual: str, func: ast.expr) -> bool:
-        """Whether the call binds ``self`` implicitly (instance/self calls)."""
-        if not isinstance(func, ast.Attribute):
-            return False
-        cls = qual.rpartition(".")[0]
-        if cls not in self.graph.classes:
-            return False
-        # ``Class.method(x)`` passes self explicitly; ``obj.method(x)``
-        # binds it.  Distinguish by the receiver descriptor kind.
-        value_desc = self._peek_kind(func.value)
-        return value_desc != "class"
-
-    def _peek_kind(self, node: ast.expr) -> "str | None":
-        """Descriptor kind of ``node`` without re-recording accesses."""
-        if isinstance(node, ast.Name):
-            name = node.id
-            if name == "self" and self.cls is not None:
-                return "instance"
-            if name in self.underived:
-                return "creation"
-            if name in self.local_types:
-                return "instance"
-            if name in self.params:
-                return "param"
-            if name in self.locals or self._is_module_mutable(name):
-                return None
-            if name in self.minfo.classes_local:
-                return "class"
-            dotted = (
-                self.local_attr_imports.get(name)
-                or self.symbols.attribute_imports.get(name)
-            )
-            if dotted and dotted in self.graph.classes:
-                return "class"
-            return None
-        return "instance" if isinstance(node, ast.Attribute) else None
 
     def _return_class(self, qual: str) -> "str | None":
         """Class qualname named by ``qual``'s return annotation, if any."""
@@ -1016,14 +877,7 @@ class _Summarizer:
             return None
         return self.graph.resolve_class_ref(minfo, _annotation_text(node.returns))
 
-    def _record_call(
-        self,
-        qual: str,
-        node: ast.Call,
-        arg_descs: list,
-        kw_descs: list,
-        method: bool,
-    ) -> None:
+    def _record_call(self, qual: str, node: ast.Call) -> None:
         self.fn.calls.append(
             CallSite(
                 callee=qual,
@@ -1032,101 +886,26 @@ class _Summarizer:
                 held=frozenset(self.held),
             )
         )
-        callee_params = self._callee_params(qual, skip_self=method)
-        pairs: "list[tuple[str, object]]" = []
-        for i, desc in enumerate(arg_descs):
-            if desc is None or i >= len(callee_params):
-                continue
-            pairs.append((callee_params[i], desc))
-        for kw, desc in kw_descs:
-            if kw is not None and desc is not None:
-                pairs.append((kw, desc))
-        for callee_param, desc in pairs:
-            if desc[0] == "param":
-                self.fn.forwards.append((desc[1], qual, callee_param))
-            elif desc[0] == "creation":
-                self.fn.creations[desc[1]].passes.append((qual, callee_param))
 
-    def _callee_params(self, qual: str, skip_self: bool) -> "tuple[str, ...]":
-        parent, _, leaf = qual.rpartition(".")
-        node = None
-        if parent in self.graph.modules:
-            node = self.graph.modules[parent].functions_local.get(leaf)
-        elif parent in self.graph.classes:
-            node = self.graph.classes[parent].methods.get(leaf)
-        if node is None:
-            return ()
-        params = tuple(
-            a.arg
-            for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
-        )
-        if skip_self and params and params[0] in ("self", "cls"):
-            return params[1:]
-        return params
-
-    # -- RNG creations -------------------------------------------------------
-    def _rng_creation(self, node: ast.Call, func: ast.expr) -> "int | None":
-        """Register an un-derived RNG construction; returns its index."""
-        qualified = self.symbols.qualified(func)
-        if qualified is None and isinstance(func, ast.Name):
-            qualified = self.local_attr_imports.get(func.id)
-        desc = None
-        if qualified in ("numpy.random.default_rng", "repro.rng.as_generator") or (
-            isinstance(func, ast.Name) and func.id in ("default_rng", "as_generator")
-        ):
-            label = qualified or func.id
-            if not node.args and not node.keywords:
-                desc = f"{label}() with no seed"
-            elif (
-                len(node.args) == 1
-                and not node.keywords
-                and isinstance(node.args[0], ast.Constant)
-            ):
-                desc = f"{label}({node.args[0].value!r}) with a constant seed"
-        elif qualified == "random.Random":
-            if not node.args or (
-                len(node.args) == 1 and isinstance(node.args[0], ast.Constant)
-            ):
-                desc = "random.Random(...) with a constant or absent seed"
-        if desc is None:
-            return None
-        idx = len(self.fn.creations)
-        self.fn.creations.append(
-            RngCreation(lineno=node.lineno, col=node.col_offset, desc=desc)
-        )
-        return idx
-
-    # -- entry-point auto-detection ------------------------------------------
-    def _detect_entry_registration(self, node: ast.Call, func: ast.expr) -> None:
-        # pool.submit(f, ...) / pool.map(f, ...): f runs in a worker.
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _POOL_SUBMIT_METHODS
-            and node.args
-        ):
-            target = self._entry_target(node.args[0])
-            if target:
-                self._mark_entry(target, worker=True)
-        # Executor(..., initializer=f): f runs in every worker.
+    # -- thread-entry auto-detection -----------------------------------------
+    def _detect_thread_target(self, node: ast.Call, func: ast.expr) -> None:
+        # threading.Thread(target=f) / Timer(..., target=f): f runs in a thread.
         for kw in node.keywords:
-            if kw.arg == "initializer":
+            if kw.arg != "target":
+                continue
+            qualified = self.symbols.qualified(func)
+            basename = (
+                func.attr
+                if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else None
+            )
+            if qualified == "threading.Thread" or basename in ("Thread", "Timer"):
                 target = self._entry_target(kw.value)
                 if target:
-                    self._mark_entry(target, worker=True)
-            elif kw.arg == "target":
-                qualified = self.symbols.qualified(func)
-                basename = (
-                    func.attr
-                    if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) else None
-                )
-                if qualified == "threading.Thread" or basename in ("Thread", "Timer"):
-                    target = self._entry_target(kw.value)
-                    if target:
-                        self._mark_entry(target, worker=False)
+                    self._mark_thread_entry(target)
 
     def _entry_target(self, node: ast.expr) -> "str | None":
-        """Function qualname named by an entry-registration argument."""
+        """Function qualname named by a ``target=`` argument."""
         if isinstance(node, ast.Name):
             name = node.id
             if name in self.minfo.functions_local:
@@ -1149,19 +928,13 @@ class _Summarizer:
                 return dotted
         return None
 
-    def _mark_entry(self, qual: str, worker: bool) -> None:
+    def _mark_thread_entry(self, qual: str) -> None:
         fn = self.graph.functions.get(qual)
         if fn is not None:
-            if worker:
-                fn.worker_entry = True
-            else:
-                fn.thread_entry = True
+            fn.thread_entry = True
         # Summaries are built in module order, so the target may not be
         # summarized yet — record on the graph directly as well.
-        if worker:
-            self.graph.worker_entries.add(qual)
-        else:
-            self.graph.thread_entries.add(qual)
+        self.graph.thread_entries.add(qual)
 
     # -- shared-state helpers ------------------------------------------------
     def _is_module_mutable(self, name: str) -> bool:

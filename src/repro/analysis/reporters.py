@@ -13,7 +13,7 @@ Schema (``JSON_SCHEMA_VERSION = 1``)::
       "paths": ["src", ...],             # the roots that were walked
       "files_scanned": 84,
       "rules": {                         # every *enabled* rule
-        "DET001": {"summary": str, "severity": "error"|"warning"},
+        "DET002": {"summary": str, "severity": "error"|"warning"},
         ...
       },
       "findings": [                      # sorted (file, line, col, rule)

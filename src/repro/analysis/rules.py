@@ -11,7 +11,7 @@ A module-scope checker is a callable taking a
 ``(lineno, col, message)`` triples.  A project-scope checker takes the
 :class:`~repro.analysis.graph.ProjectGraph` built over the whole walk
 and yields ``(file, lineno, col, message)`` — it sees every module at
-once, which is what the FLOW/RACE/ARCH families need.
+once, which is what RACE001's call-path analysis needs.
 
 Checker docstrings carry the ``Violating::`` / ``Clean::`` example
 blocks that ``repro lint --explain RULE`` renders.

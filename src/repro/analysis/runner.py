@@ -11,9 +11,9 @@ Two passes run per invocation:
 * the **module pass** runs every per-module rule over each file in
   isolation (parallelisable with ``jobs``, cacheable per file);
 * the **project pass** builds the whole-program
-  :class:`~repro.analysis.graph.ProjectGraph` and runs the FLOW/RACE/
-  ARCH family, which needs every module at once (cacheable as a unit,
-  keyed on the digest of the entire walk).
+  :class:`~repro.analysis.graph.ProjectGraph` and runs RACE001, which
+  needs every module at once (cacheable as a unit, keyed on the digest
+  of the entire walk).
 
 Suppression markers anchor to *statements*, not physical lines: a
 finding reported inside a multi-line statement is covered by a marker
@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import io
 import os
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -176,14 +178,29 @@ def find_suppression(
     return None
 
 
+def _read_source(path: Path) -> str:
+    """The text of ``path``, decoded the way Python decodes a module.
+
+    :func:`tokenize.detect_encoding` honours a PEP 263 coding cookie and
+    a UTF-8 BOM.  Bytes that do not decode raise :class:`SyntaxError`,
+    as they do on import.
+    """
+    data = path.read_bytes()
+    encoding, _ = tokenize.detect_encoding(io.BytesIO(data).readline)
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SyntaxError(str(exc), (str(path), lineno, 1, None)) from exc
+
+
 def lint_one_file(path: Path, name: str, config: LintConfig) -> ModuleRecord:
     """Run the module pass over one file (also the pool-worker body)."""
     try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LintUsageError(f"cannot read {name!r}: {exc}") from exc
-    try:
+        source = _read_source(path)
         tree = ast.parse(source, filename=name)
+    except OSError as exc:
+        raise LintUsageError(f"cannot read {name!r}: {exc}") from exc
     except SyntaxError as exc:
         return ModuleRecord(
             name=name,
@@ -240,9 +257,9 @@ def _parse_context(path: Path, name: str) -> "ModuleContext | None":
     """Parse one file for the project pass (``None`` if it cannot parse —
     the module pass already reported the SYNTAX finding)."""
     try:
-        source = path.read_text(encoding="utf-8")
+        source = _read_source(path)
         tree = ast.parse(source, filename=name)
-    except (OSError, UnicodeDecodeError, SyntaxError):
+    except (OSError, SyntaxError):
         return None
     return ModuleContext(name, source, tree)
 

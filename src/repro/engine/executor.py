@@ -51,7 +51,9 @@ Because all randomness is key-derived, the shared-memory transport changes
 The pool prefers the ``fork`` start method (cheap, inherits the prepared
 caches' code pages) and falls back to ``spawn`` where fork is unavailable;
 if process pools cannot be created at all (restricted sandboxes), execution
-degrades gracefully to the serial path with identical results.
+degrades gracefully to the serial path with identical results.  A job the
+pool cannot pickle (say, a strategy holding a lambda, or of a class defined
+inside a function) takes the serial path from the start.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.reduction import ForkingPickler
 from pickle import PicklingError
 
 import multiprocessing
@@ -152,7 +155,7 @@ def _prepared(benchmark_name: str, scale, seed: int) -> tuple:
     return entry
 
 
-def execute_job(job: TrialJob) -> LearningHistory:  # repro: worker-entry
+def execute_job(job: TrialJob) -> LearningHistory:
     """Run one trial job to completion in the current process."""
     from repro.experiments.runner import run_single
 
@@ -270,7 +273,7 @@ def _attempt(
         return "error", f"{type(exc).__name__}: {exc}"
 
 
-def _execute_keyed(  # repro: worker-entry
+def _execute_keyed(
     key: str,
     job: TrialJob,
     submit_ts: float,
@@ -294,7 +297,7 @@ def _execute_keyed(  # repro: worker-entry
     return outcome, payload, telemetry.drain_events(), telemetry.drain()
 
 
-def _worker_init(trace_on: bool, manifest=None) -> None:  # repro: worker-entry
+def _worker_init(trace_on: bool, manifest=None) -> None:
     """Reset fork-inherited state in a fresh pool worker.
 
     A forked worker inherits the parent's ring buffer and counters; left
@@ -397,10 +400,10 @@ def _run_parallel(
 
     Each future carries one trial attempt (``manifest`` ships the
     shared-memory locations of the prepared data to every worker via the
-    pool initializer).  Jobs come back for the caller's serial fallback
-    when pools cannot be created at all, when job payloads turn out
-    unpicklable, or when the pool has died more than
-    :data:`_POOL_RESTART_LIMIT` times.  Everything else — job errors,
+    pool initializer).  Every job in ``pending`` must pickle (see
+    :func:`_picklable`).  Jobs come back for the caller's serial fallback
+    when pools cannot be created at all, or when the pool has died more
+    than :data:`_POOL_RESTART_LIMIT` times.  Everything else — job errors,
     timeouts, single pool deaths — is absorbed here: completed results
     are committed the moment their future resolves (and salvaged from a
     broken pool's already-done futures), in-flight trials lost to a pool
@@ -453,7 +456,6 @@ def _run_parallel(
             # Pools unavailable here (restricted sandbox) — run serially.
             return leftover()
         broken = False
-        unpicklable = False
         futures: "dict[object, tuple[str, TrialJob, int]]" = {}
         try:
             while (todo or deferred or futures) and not broken:
@@ -514,10 +516,6 @@ def _run_parallel(
                             key, job, attempt,
                             "worker process died", "worker died",
                         )
-                    except PicklingError:
-                        todo.appendleft((key, job, attempt))
-                        unpicklable = True
-                        broken = True
                     except (KeyboardInterrupt, SystemExit):
                         raise
                     except BaseException as exc:
@@ -539,11 +537,6 @@ def _run_parallel(
             pool.shutdown(wait=False, cancel_futures=True)
         if not broken:
             return []
-        if unpicklable:
-            # Deterministic serialization failure: retrying through the
-            # pool cannot help, so hand everything to the serial path.
-            todo.extend(futures.values())
-            return leftover()
         # The pool died.  Salvage futures that completed before the death
         # (their results are real — losing them was the old data-loss bug),
         # charge one attempt to every trial genuinely in flight, then
@@ -568,6 +561,20 @@ def _run_parallel(
             telemetry.inc("engine.pool.degraded_serial")
             return leftover()
     return []
+
+
+def _picklable(job: TrialJob) -> bool:
+    """Whether the pool can send ``job`` to a worker.
+
+    A local class or lambda raises ``AttributeError`` (``PicklingError``
+    on newer Pythons); an unpicklable attribute such as a lock raises
+    ``TypeError``.
+    """
+    try:
+        ForkingPickler.dumps(job)
+    except (PicklingError, AttributeError, TypeError):
+        return False
+    return True
 
 
 def _publish_prepared(
@@ -654,6 +661,13 @@ def run_jobs(
                 else:
                     pending.append((key, job, 0))
 
+            local: "list[tuple[str, TrialJob, int]]" = []
+            if min(config.jobs, len(pending)) > 1:
+                # A job the pool cannot pickle would fail every attempt in
+                # a worker, so it runs in-process from the start.
+                sendable = [_picklable(job) for _key, job, _ in pending]
+                local = [p for p, ok in zip(pending, sendable) if not ok]
+                pending = [p for p, ok in zip(pending, sendable) if ok]
             n_workers = min(config.jobs, len(pending))
             if pending and n_workers > 1:
                 registry = shm_mod.SegmentRegistry()
@@ -662,6 +676,7 @@ def run_jobs(
                     pending, results, store, reporter, n_workers, config,
                     manifest=registry.manifest,
                 )
+            pending += local
             if pending:
                 _run_serial(pending, results, store, reporter, config)
     finally:

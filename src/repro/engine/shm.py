@@ -9,7 +9,9 @@ re-measuring ``y_test`` per process; because the published bytes *are*
 the parent's arrays, the rebuilt tuple is bit-identical to what the
 worker would have computed itself.
 
-Lifecycle contract (enforced by the ``SHM001`` lint rule):
+Lifecycle contract (checked by ``tests/test_shm.py``, whose
+``test_parallel_run_leaves_no_segments_behind`` asserts that a parallel
+run leaves no segment behind):
 
 * **Segments are owned by the parent.**  :class:`SegmentRegistry` holds
   every ``SharedMemory`` it creates and the engine unlinks them all on

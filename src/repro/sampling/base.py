@@ -84,16 +84,6 @@ class SamplingStrategy(ABC):
         ``None`` for strategies with ``requires_model = False``.
         """
 
-    def scores(self, model, X: np.ndarray) -> np.ndarray:
-        """Per-configuration acquisition scores (higher = more desirable).
-
-        Only *score-based* strategies (PWU, MaxU, BestPerf, EI, variants)
-        implement this; filter-based ones (PBUS, BRS, random) raise.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose per-configuration scores"
-        )
-
     def _stash_selection_stats(
         self,
         available: np.ndarray,

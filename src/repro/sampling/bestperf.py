@@ -20,10 +20,6 @@ class BestPerfSampling(SamplingStrategy):
 
     name = "bestperf"
 
-    def scores(self, model, X: np.ndarray) -> np.ndarray:
-        """Negated predicted time: faster predictions score higher."""
-        return -model.predict(X)
-
     def select(
         self, model, pool: DataPool, n_batch: int, rng: np.random.Generator
     ) -> np.ndarray:

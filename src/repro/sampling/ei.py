@@ -57,12 +57,6 @@ class ExpectedImprovementSampling(SamplingStrategy):
 
     name = "ei"
 
-    def scores(self, model, X: np.ndarray) -> np.ndarray:
-        """Expected improvement over the best observed time."""
-        mu, sigma = model.predict_with_uncertainty(X)
-        incumbent = float(np.min(model.training_targets))
-        return expected_improvement(mu, sigma, incumbent)
-
     def select(
         self, model, pool: DataPool, n_batch: int, rng: np.random.Generator
     ) -> np.ndarray:

@@ -20,11 +20,6 @@ class MaxUncertaintySampling(SamplingStrategy):
 
     name = "maxu"
 
-    def scores(self, model, X: np.ndarray) -> np.ndarray:
-        """Prediction uncertainty σ as the acquisition score."""
-        _, sigma = model.predict_with_uncertainty(X)
-        return sigma
-
     def select(
         self, model, pool: DataPool, n_batch: int, rng: np.random.Generator
     ) -> np.ndarray:

@@ -68,11 +68,6 @@ class PWUSampling(SamplingStrategy):
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
 
-    def scores(self, model, X: np.ndarray) -> np.ndarray:
-        """Equation 1 scores for the given encoded configurations."""
-        mu, sigma = model.predict_with_uncertainty(X)
-        return pwu_scores(mu, sigma, self.alpha)
-
     def select(
         self, model, pool: DataPool, n_batch: int, rng: np.random.Generator
     ) -> np.ndarray:

@@ -60,13 +60,6 @@ class CostAwarePWUSampling(SamplingStrategy):
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self.alpha = alpha
 
-    def scores(self, model, X: np.ndarray) -> np.ndarray:
-        """σ / μ^(2-α): Equation 1 divided by the predicted labeling cost."""
-        mu, sigma = model.predict_with_uncertainty(X)
-        if np.any(mu <= 0):
-            raise ValueError("predicted execution times must be positive")
-        return sigma / mu ** (2.0 - self.alpha)
-
     def select(
         self, model, pool: DataPool, n_batch: int, rng: np.random.Generator
     ) -> np.ndarray:

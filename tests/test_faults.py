@@ -9,10 +9,13 @@ fault-free run — same job keys, same final histories.
 import json
 import os
 import shutil
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+from repro.engine import executor
 from repro.engine import (
     EngineConfig,
     EngineJobError,
@@ -33,6 +36,7 @@ from repro.engine.faults import (
 from repro.engine.store import append_jsonl
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import strategy_trace
+from repro.sampling.pwu import PWUSampling
 from repro.telemetry import counters
 
 
@@ -188,6 +192,27 @@ class TestRetrySemantics:
                 engine=_cfg(jobs=1, faults="exc:1.0:99", max_retries=0),
             )
 
+    @pytest.mark.parametrize("case", ["lambda-attr", "local-class"])
+    def test_unpicklable_job_runs_in_process_at_any_jobs(
+        self, two_trial_scale, case
+    ):
+        """A job the pool cannot pickle runs once, in-process, not retried."""
+
+        class LocalPWU(PWUSampling):
+            """Pickle cannot find a class defined in a function body."""
+
+        if case == "local-class":
+            strategy = LocalPWU()
+        else:
+            strategy = PWUSampling()
+            strategy._hook = lambda x: x  # private: not part of the job key
+        jobs = trial_jobs("mvt", strategy, two_trial_scale, seed=0)
+        serial, _ = run_jobs(jobs, config=_cfg(jobs=1))
+        results, stats = run_jobs(jobs, config=_cfg(jobs=2))
+        assert stats.failed == 0
+        assert [r.attempts for r in results.values()] == [1] * len(jobs)
+        assert _histories(results) == _histories(serial)
+
 
 class TestTimeouts:
     def test_hang_is_timed_out_and_retried(self, baseline):
@@ -251,6 +276,50 @@ class TestCrashRecovery:
             )
             assert stats.failed == 0, f"jobs={n}"
             assert _histories(results) == expect, f"jobs={n}"
+
+    def test_salvages_siblings_done_before_a_pool_death(
+        self, baseline, monkeypatch
+    ):
+        """Futures that finished before the pool broke keep one attempt.
+
+        The pool runs each call in-process; on the first pool the chosen
+        job's future fails with ``BrokenProcessPool`` instead, and ``wait``
+        reports only that future, so its finished siblings are left for
+        the salvage pass.
+        """
+        jobs, expect = baseline
+        chosen = jobs[0].key()
+        pools = []
+
+        class InlinePool:
+            def __init__(self, *args, **kwargs):
+                self.breaks = not pools
+                pools.append(self)
+
+            def submit(self, fn, *args):
+                fut = Future()
+                if self.breaks and args[0] == chosen:
+                    fut.set_exception(BrokenProcessPool("worker died"))
+                else:
+                    fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        def wait(fs, timeout=None, return_when=None):
+            failed = {f for f in fs if f.exception() is not None}
+            return failed or set(fs), set()
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(executor, "wait", wait)
+        before = counters.value("engine.pool.restarts")
+        results, stats = run_jobs(jobs, config=_cfg(jobs=2))
+        assert stats.failed == 0 and len(pools) == 2
+        assert _histories(results) == expect
+        assert results[chosen].attempts == 2
+        assert [r.attempts for k, r in results.items() if k != chosen] == [1] * 3
+        assert counters.value("engine.pool.restarts") - before == 1
 
     def test_completed_results_survive_pool_death(
         self, tmp_path, two_trial_scale

@@ -97,7 +97,7 @@ def test_bystander_edit_does_not_invalidate_the_chain(project, tmp_path):
 def test_config_change_busts_the_whole_cache(project, tmp_path):
     cache = tmp_path / "cache.json"
     _lint(project, cache)
-    config = permissive_config().with_overrides(disable=("DET003",))
+    config = permissive_config().with_overrides(disable=("EXC001",))
     result = lint_paths([project], config=config, cache_path=cache)
     assert result.cache.hits == 0
     assert result.cache.misses == result.files_scanned

@@ -58,7 +58,7 @@ def test_suppression_does_not_reach_two_lines_down(tmp_path):
 def test_suppression_for_other_rule_does_not_silence(tmp_path):
     result = _lint(
         tmp_path,
-        "import time\nt = time.time()  # repro: allow[DET001] wrong rule\n",
+        "import time\nt = time.time()  # repro: allow[DET004] wrong rule\n",
     )
     assert [f.rule for f in result.findings] == ["DET002"]
 
@@ -192,8 +192,8 @@ def test_baseline_unmatches_when_offending_line_changes(tmp_path):
 
 def test_write_baseline_refuses_determinism_rules(tmp_path):
     det = Finding(
-        file="m.py", line=1, col=0, rule="DET001", message="rng"
-    ).with_fingerprint("random.random()", 0)
+        file="m.py", line=1, col=0, rule="DET002", message="clock"
+    ).with_fingerprint("t = time.time()", 0)
     with pytest.raises(LintUsageError, match="may not be baselined"):
         write_baseline(str(tmp_path / "b.json"), [det])
 
@@ -279,7 +279,7 @@ def test_rule_registry_rejects_duplicate_ids():
     from repro.analysis.rules import rule
 
     with pytest.raises(ValueError, match="already registered"):
-        rule("DET001", "impostor")(lambda module: [])
+        rule("DET002", "impostor")(lambda module: [])
 
 
 def test_sampling_registry_rejects_duplicate_strategy():

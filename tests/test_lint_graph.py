@@ -3,23 +3,16 @@
 The graph tests build tiny throwaway packages under ``tmp_path`` and
 inspect the resulting :class:`~repro.analysis.graph.ProjectGraph`: module
 naming, import resolution (absolute and relative), call resolution
-through annotations, and entry-point detection (explicit markers, pool
-submission, ``threading.Thread`` targets, HTTP ``do_*`` handlers).
+through annotations, and thread-entry detection (explicit markers,
+``threading.Thread`` targets, HTTP ``do_*`` handlers).
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow import (
-    fixed_point,
-    intersect_join,
-    or_join,
-    reachable,
-    union_join,
-)
+from repro.analysis.dataflow import fixed_point, intersect_join
 from repro.analysis.graph import module_name_for
-from repro.analysis.graph_rules import LAYER_CONTRACT, layer_of
 from repro.analysis.runner import build_graph_for_paths
 
 
@@ -131,20 +124,14 @@ def test_entry_detection_markers_and_registrations(tmp_path):
         {
             "pkg/__init__.py": "",
             "pkg/entries.py": (
-                "import threading\n"
-                "from concurrent.futures import ProcessPoolExecutor\n\n\n"
-                "def marked_worker(job):  # repro: worker-entry\n"
-                "    pass\n\n\n"
+                "import threading\n\n\n"
                 "def marked_thread():  # repro: thread-entry\n"
-                "    pass\n\n\n"
-                "def submitted(job):\n"
                 "    pass\n\n\n"
                 "def threaded():\n"
                 "    pass\n\n\n"
                 "def plain():\n"
                 "    pass\n\n\n"
-                "def dispatch(pool):\n"
-                "    pool.submit(submitted, 1)\n"
+                "def dispatch():\n"
                 "    threading.Thread(target=threaded).start()\n"
             ),
             "pkg/httpish.py": (
@@ -157,12 +144,9 @@ def test_entry_detection_markers_and_registrations(tmp_path):
             ),
         },
     )
-    assert "pkg.entries.marked_worker" in graph.worker_entries
-    assert "pkg.entries.submitted" in graph.worker_entries
     assert "pkg.entries.marked_thread" in graph.thread_entries
     assert "pkg.entries.threaded" in graph.thread_entries
     assert "pkg.httpish.Handler.do_GET" in graph.thread_entries
-    assert "pkg.entries.plain" not in graph.worker_entries
     assert "pkg.entries.plain" not in graph.thread_entries
     assert "pkg.httpish.Handler.helper" not in graph.thread_entries
 
@@ -185,18 +169,6 @@ def test_graph_json_shape(tmp_path):
 # -- the dataflow engine -----------------------------------------------------
 
 
-def test_reachable_transitive_closure():
-    succ = {"a": ["b"], "b": ["c"], "c": [], "d": ["a"], "e": []}
-    assert reachable(["a"], succ) == {"a", "b", "c"}
-    assert reachable(["e"], succ) == {"e"}
-
-
-def test_fixed_point_union_accumulates():
-    edges = {"a": [("b", None)], "b": [("c", None)]}
-    facts = fixed_point({"a": frozenset({"x"})}, edges, union_join)
-    assert facts["c"] == frozenset({"x"})
-
-
 def test_fixed_point_intersect_models_must_analysis():
     # c is reached from a (holding x) and b (holding nothing): must = {}
     def add_x(fact):
@@ -213,29 +185,8 @@ def test_fixed_point_intersect_models_must_analysis():
     assert facts["c"] == frozenset({"x"})
 
 
-def test_fixed_point_or_join_terminates_on_cycles():
+def test_fixed_point_terminates_on_cycles():
     edges = {"a": [("b", None)], "b": [("a", None), ("c", None)]}
-    facts = fixed_point({"a": True}, edges, or_join)
-    assert facts == {"a": True, "b": True, "c": True}
+    facts = fixed_point({"a": frozenset({"x"})}, edges, intersect_join)
+    assert facts == {k: frozenset({"x"}) for k in "abc"}
 
-
-# -- the layer contract ------------------------------------------------------
-
-
-def test_layer_of():
-    assert layer_of("repro.engine.store") == "engine"
-    assert layer_of("repro.rng") == "rng"
-    assert layer_of("loose") == "loose"
-
-
-def test_contract_leaf_layers_import_almost_nothing():
-    assert LAYER_CONTRACT["rng"]["forbid"] == ("*",)
-    assert "engine" in LAYER_CONTRACT["workloads"]["forbid"]
-    assert "forest" in LAYER_CONTRACT["service"]["forbid"]
-    # every forbid/allow entry names a real layer, the wildcard, or one
-    # of the unconstrained top layers (api/cli may import anything, so
-    # they carry no contract entry of their own)
-    layers = set(LAYER_CONTRACT) | {"*", "api", "cli"}
-    for rules in LAYER_CONTRACT.values():
-        for target in (*rules["forbid"], *rules.get("allow", ())):
-            assert target in layers

@@ -16,20 +16,14 @@ from repro.analysis.rules import known_rule_ids
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lintpkg"
 RULE_IDS = (
-    "DET001",
     "DET002",
-    "DET003",
     "DET004",
     "SPAWN001",
-    "SHM001",
     "TEL001",
     "IO001",
     "EXC001",
-    "FLOW001",
     "FLOW002",
     "RACE001",
-    "RACE002",
-    "ARCH001",
 )
 
 
@@ -43,7 +37,7 @@ def test_registry_exposes_exactly_the_contract_rules():
 
 
 def test_fixture_package_yields_one_finding_per_rule(fixture_result):
-    """14 seeded violations, 14 findings — nothing extra, nothing missed."""
+    """8 seeded violations, 8 findings — nothing extra, nothing missed."""
     fired = sorted(f.rule for f in fixture_result.findings)
     assert fired == sorted(RULE_IDS)
 
@@ -77,27 +71,6 @@ def _rules(result):
     return [f.rule for f in result.findings]
 
 
-# -- DET001 ------------------------------------------------------------------
-
-
-def test_det001_numpy_global_stream(tmp_path):
-    result = _lint_source(
-        tmp_path, "import numpy as np\nnp.random.seed(0)\n"
-    )
-    assert _rules(result) == ["DET001"]
-
-
-def test_det001_allows_explicit_generators(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "import numpy as np\nimport random\n"
-        "rng = np.random.default_rng(0)\n"
-        "gen = np.random.Generator(np.random.PCG64(1))\n"
-        "own = random.Random(2)\n",
-    )
-    assert _rules(result) == []
-
-
 # -- DET002 ------------------------------------------------------------------
 
 
@@ -113,29 +86,6 @@ def test_det002_from_import_alias(tmp_path):
         tmp_path, "from time import monotonic\n\n\ndef f():\n    return monotonic()\n"
     )
     assert _rules(result) == ["DET002"]
-
-
-# -- DET003 ------------------------------------------------------------------
-
-
-def test_det003_tracks_set_variables(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "def f(xs):\n"
-        "    pending = set(xs)\n"
-        "    return [x + 1 for x in pending]\n",
-    )
-    assert _rules(result) == ["DET003"]
-
-
-def test_det003_sorted_materialisation_passes(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "def f(xs):\n"
-        "    pending = set(xs)\n"
-        "    return [x + 1 for x in sorted(pending)]\n",
-    )
-    assert _rules(result) == []
 
 
 # -- DET004 ------------------------------------------------------------------
@@ -176,68 +126,6 @@ def test_spawn001_lock_guarded_mutation_passes(tmp_path):
         tmp_path,
         "import threading\n\n_T = {}\n_L = threading.Lock()\n\n\n"
         "def put(k, v):\n    with _L:\n        _T[k] = v\n",
-    )
-    assert _rules(result) == []
-
-
-# -- SHM001 ------------------------------------------------------------------
-
-
-def test_shm001_unguarded_create(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "from multiprocessing import shared_memory\n\n\n"
-        "def f(n):\n"
-        "    seg = shared_memory.SharedMemory(create=True, size=n)\n"
-        "    return seg.name\n",
-    )
-    assert _rules(result) == ["SHM001"]
-    assert "finally" in result.findings[0].message
-
-
-def test_shm001_finally_with_close_and_unlink_passes(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "from multiprocessing import shared_memory\n\n\n"
-        "def f(n):\n"
-        "    seg = None\n"
-        "    try:\n"
-        "        seg = shared_memory.SharedMemory(create=True, size=n)\n"
-        "        return seg.name\n"
-        "    finally:\n"
-        "        if seg is not None:\n"
-        "            seg.close()\n"
-        "            seg.unlink()\n",
-    )
-    assert _rules(result) == []
-
-
-def test_shm001_finally_missing_unlink_fires(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "from multiprocessing import shared_memory\n\n\n"
-        "def f(n):\n"
-        "    seg = None\n"
-        "    try:\n"
-        "        seg = shared_memory.SharedMemory(create=True, size=n)\n"
-        "        return seg.name\n"
-        "    finally:\n"
-        "        if seg is not None:\n"
-        "            seg.close()\n",
-    )
-    assert _rules(result) == ["SHM001"]
-
-
-def test_shm001_attach_site_is_exempt(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "from multiprocessing import shared_memory\n\n\n"
-        "def f(name):\n"
-        "    seg = shared_memory.SharedMemory(name=name)\n"
-        "    try:\n"
-        "        return bytes(seg.buf[:1])\n"
-        "    finally:\n"
-        "        seg.close()\n",
     )
     assert _rules(result) == []
 
@@ -305,7 +193,18 @@ def test_exc001_handled_exception_passes(tmp_path):
     assert _rules(result) == []
 
 
-def test_syntax_error_is_reported_not_raised(tmp_path):
-    result = _lint_source(tmp_path, "def broken(:\n")
-    assert _rules(result) == ["SYNTAX"]
-    assert result.exit_code == 1
+@pytest.mark.parametrize(
+    "source, rules",
+    [
+        (b"def broken(:\n", ["SYNTAX"]),
+        ('# -*- coding: latin-1 -*-\nNAME = "caf\xe9"\n'.encode("latin-1"), []),
+        (b'NAME = "caf\xe9"\n', ["SYNTAX"]),
+    ],
+    ids=["syntax-error", "latin-1-cookie", "undecodable"],
+)
+def test_syntax_error_is_reported_not_raised(tmp_path, source, rules):
+    path = tmp_path / "snippet.py"
+    path.write_bytes(source)
+    result = lint_paths([path], config=permissive_config())
+    assert _rules(result) == rules
+    assert result.exit_code == (1 if rules else 0)

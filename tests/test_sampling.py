@@ -174,26 +174,6 @@ class TestPBUS:
             PBUSampling(candidate_fraction=-0.1)
 
 
-class TestScoresHook:
-    def test_score_based_strategies_expose_scores(self, fitted):
-        pool, model = fitted
-        for strat in (PWUSampling(0.05), MaxUncertaintySampling()):
-            s = strat.scores(model, pool.X)
-            assert s.shape == (pool.n_total,)
-
-    def test_filter_based_strategy_raises(self, fitted):
-        pool, model = fitted
-        with pytest.raises(NotImplementedError):
-            UniformRandomSampling().scores(model, pool.X)
-
-    def test_scores_consistent_with_selection(self, fitted, rng):
-        pool, model = fitted
-        strat = PWUSampling(0.05)
-        picked = strat.select(model, pool, 1, rng)
-        s = strat.scores(model, pool.X)
-        assert s[picked[0]] == s.max()
-
-
 class TestRegistry:
     def test_all_names_constructible(self):
         for name in STRATEGY_NAMES:

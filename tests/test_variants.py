@@ -68,9 +68,9 @@ class TestCostAwarePWU:
     def test_registry_constructible(self):
         assert make_strategy("pwu-cost").name == "pwu-cost"
 
-    def test_prefers_cheaper_of_equal_pwu_score(self, fitted, rng):
+    def test_prefers_cheaper_of_equal_pwu_score(self, rng):
         """Two configs with identical Equation 1 scores: the cheaper one
-        (smaller μ) must rank higher under the cost-aware score."""
+        (smaller μ) must be selected under the cost-aware score."""
         from repro.sampling.variants import CostAwarePWUSampling
 
         class StubModel:
@@ -79,10 +79,9 @@ class TestCostAwarePWU:
                 sigma = mu ** (1.0 - 0.05)  # PWU score σ/μ^(1-α) == 1 for all
                 return mu, sigma
 
-        X = np.array([[0.5, 0.0], [4.0, 0.0]])
+        pool = DataPool(np.array([[0.5, 0.0], [4.0, 0.0]]))
         strat = CostAwarePWUSampling(alpha=0.05)
-        scores = strat.scores(StubModel(), X)
-        assert scores[0] > scores[1]
+        assert strat.select(StubModel(), pool, 1, rng).tolist() == [0]
 
     def test_alpha_validated(self):
         from repro.sampling.variants import CostAwarePWUSampling
