@@ -66,8 +66,8 @@ def main(kernel: str = "atax", scale_name: str = "smoke") -> None:
         traces["pwu"].rmse_mean["0.01"],
     )
     print(
-        f"\ncost to reach RMSE {level:.4f}: "
-        f"PWU is {speedup:.2f}x cheaper than PBUS"
+        f"\nPBUS/PWU cost to reach RMSE {level:.4f}: "
+        f"{speedup:.2f}x (>1 means PWU is cheaper)"
         if speedup == speedup
         else "\n(the common error level was not reached by both strategies "
         "at this scale — try scale 'quick')"

@@ -51,20 +51,13 @@ class LearnerConfig:
     #: "partial" refreshes only ``refresh_fraction`` of them.
     retrain: str = "scratch"
     refresh_fraction: float = 0.3
-    #: Surrogate family, resolved through the :mod:`repro.surrogate`
-    #: registry: "forest" (the paper's choice), "gp" (the Section II-B
-    #: baseline), "select"/"stack" (cross-validated meta-surrogates),
-    #: "transfer", or any downstream registration.
+    #: Surrogate family, built by name through the :mod:`repro.surrogate`
+    #: registry (with ``n_estimators``, ``uncertainty`` and the learner's
+    #: RNG): "forest" (the paper's choice), "gp" (the Section II-B baseline),
+    #: "select"/"stack" (cross-validated meta-surrogates), or a downstream one.
     surrogate: str = "forest"
-    #: Free-form per-surrogate settings, normalised to a sorted tuple of
-    #: ``(key, value)`` pairs (a dict is accepted and converted) — e.g.
-    #: ``{"source": "model.npz"}`` for "transfer" or
-    #: ``{"candidates": ("forest", "gp"), "k_folds": 5}`` for "select".
-    surrogate_options: tuple = ()
     #: Forest hyper-parameters.
     n_estimators: int = 30
-    max_features: "int | float | str | None" = "third"
-    min_samples_leaf: int = 1
     uncertainty: str = "across_trees"
 
     def __post_init__(self) -> None:
@@ -78,10 +71,6 @@ class LearnerConfig:
             raise ValueError("eval_every must be >= 1")
         if self.retrain not in ("scratch", "partial"):
             raise ValueError(f"retrain must be 'scratch' or 'partial', got {self.retrain!r}")
-        options = self.surrogate_options
-        if not isinstance(options, tuple):
-            options = tuple(sorted(dict(options).items()))
-            object.__setattr__(self, "surrogate_options", options)
         try:
             surrogate_entry(self.surrogate)
         except KeyError as exc:
@@ -168,12 +157,7 @@ class ActiveLearner:
         # The shared self.rng stream: surrogate construction and fitting
         # draw from the same generator as the strategy, so runs stay
         # bit-identical regardless of execution layout.
-        return make_surrogate(
-            cfg.surrogate,
-            config=cfg,
-            rng=self.rng,
-            options=dict(cfg.surrogate_options),
-        )
+        return make_surrogate(cfg.surrogate, config=cfg, rng=self.rng)
 
     def _refit(self, X_new: np.ndarray, y_new: np.ndarray) -> None:
         with span("learner.refit", n_train=len(self.y_train), mode=self.config.retrain):

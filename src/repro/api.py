@@ -27,9 +27,13 @@ from repro import telemetry
 from repro.engine.context import EngineConfig, current_engine
 from repro.experiments.aggregate import AveragedTrace
 from repro.experiments.config import SCALES, ExperimentScale
-from repro.experiments.runner import DEFAULT_ALPHAS, comparison_traces, strategy_trace
+from repro.experiments.runner import (
+    DEFAULT_ALPHAS,
+    comparison_traces,
+    strategy_trace,
+    surrogate_overrides,
+)
 from repro.sampling import get_strategy
-from repro.surrogate import surrogate_entry
 
 __all__ = [
     "RunResult",
@@ -100,22 +104,6 @@ def _engine_config(
     if job_timeout is not None:
         config = dataclasses.replace(config, job_timeout=float(job_timeout))
     return config
-
-
-def _surrogate_overrides(surrogate: "str | None") -> "dict | None":
-    """Validate a surrogate name and translate it to config overrides.
-
-    ``None`` and the default ``"forest"`` both map to *no* overrides, so
-    the default path's job keys — and therefore every committed trace and
-    cached result — are byte-identical to what they were before the
-    surrogate field existed.
-    """
-    if surrogate is None:
-        return None
-    surrogate_entry(surrogate)  # fail fast on unknown names (did-you-mean)
-    if surrogate == "forest":
-        return None
-    return {"surrogate": surrogate}
 
 
 def _trace_metrics(trace: AveragedTrace) -> dict:
@@ -224,7 +212,7 @@ def run(
         with finished trials preserved in the store.
     """
     get_strategy(strategy, alpha=alpha)  # fail fast on unknown names
-    overrides = _surrogate_overrides(surrogate)
+    overrides = surrogate_overrides(surrogate)
     resolved = _resolve_scale(scale)
     if budget is not None:
         resolved = dataclasses.replace(resolved, n_max=int(budget))
@@ -283,7 +271,7 @@ def compare(
     strategies = tuple(strategies)
     for name in strategies:
         get_strategy(name, alpha=alpha)
-    overrides = _surrogate_overrides(surrogate)
+    overrides = surrogate_overrides(surrogate)
     resolved = _resolve_scale(scale)
     if budget is not None:
         resolved = dataclasses.replace(resolved, n_max=int(budget))

@@ -16,7 +16,12 @@ import numpy as np
 from repro.experiments.aggregate import AveragedTrace
 from repro.experiments.config import ExperimentScale
 from repro.experiments.report import format_table, series_table, sparkline
-from repro.experiments.runner import prepare_data, comparison_traces, run_single
+from repro.experiments.runner import (
+    comparison_traces,
+    prepare_data,
+    run_single,
+    surrogate_overrides,
+)
 from repro.kernels import SPAPT_KERNEL_NAMES
 from repro.machine import platform_table
 from repro.metrics import speedup_at_level
@@ -37,18 +42,6 @@ __all__ = [
 ]
 
 APP_NAMES: tuple[str, ...] = ("kripke", "hypre")
-
-
-def _surrogate_cfg(surrogate: str) -> "dict | None":
-    """Figure-driver translation of ``--surrogate`` to config overrides.
-
-    The default "forest" maps to *no* overrides so default job keys (and
-    every cached trial and committed trace) stay byte-identical.
-    """
-    from repro.surrogate import surrogate_entry
-
-    surrogate_entry(surrogate)  # fail fast with a did-you-mean
-    return None if surrogate == "forest" else {"surrogate": surrogate}
 
 
 @dataclass
@@ -132,7 +125,7 @@ def fig2_fig3(
     One experiment feeds both figures, as in the paper.  ``surrogate``
     swaps the model family under every strategy (registry-resolved).
     """
-    overrides = _surrogate_cfg(surrogate)
+    overrides = surrogate_overrides(surrogate)
     alpha_key = f"{alpha:g}"
     fig2 = FigureResult(
         name="Fig. 2",
@@ -168,7 +161,7 @@ def fig4_fig5(
     surrogate: str = "forest",
 ) -> tuple[FigureResult, FigureResult]:
     """Fig. 4 (RMSE and CC vs #samples) and Fig. 5 (RMSE vs CC) for the apps."""
-    overrides = _surrogate_cfg(surrogate)
+    overrides = surrogate_overrides(surrogate)
     alpha_key = f"{alpha:g}"
     fig4 = FigureResult(
         name="Fig. 4",
@@ -224,7 +217,7 @@ def fig6(
     ``surrogate`` swaps the model family, making this the natural
     harness for surrogate head-to-heads (see EXPERIMENTS.md).
     """
-    overrides = _surrogate_cfg(surrogate)
+    overrides = surrogate_overrides(surrogate)
     result = FigureResult(
         name="Fig. 6",
         description=f"PBUS vs PWU on {benchmark} at α ∈ {alphas} "
@@ -263,7 +256,7 @@ def fig7(
     The paper reports up to 21x, ~3x on average across the 14 benchmarks.
     Pass ``precomputed`` traces (from fig2/fig4 runs) to avoid re-running.
     """
-    overrides = _surrogate_cfg(surrogate)
+    overrides = surrogate_overrides(surrogate)
     if benchmarks is None:
         benchmarks = SPAPT_KERNEL_NAMES + APP_NAMES
     alpha_key = f"{alpha:g}"
@@ -313,7 +306,7 @@ def fig8(
     surrogate: str = "forest",
 ) -> FigureResult:
     """Case study: surrogate-annotated tuning tracks ground-truth tuning."""
-    overrides = _surrogate_cfg(surrogate)
+    overrides = surrogate_overrides(surrogate)
     result = FigureResult(
         name="Fig. 8",
         description=f"direct vs surrogate tuning on {benchmark_name} "
@@ -417,7 +410,7 @@ def fig9(
         description=f"selected-sample distribution, PBUS vs PWU on "
         f"{benchmark_name} (scale={scale.name})",
     )
-    overrides = _surrogate_cfg(surrogate)
+    overrides = surrogate_overrides(surrogate)
     benchmark = get_benchmark(benchmark_name)
     from repro.forest import RandomForestRegressor
 

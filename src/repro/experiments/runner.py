@@ -20,6 +20,7 @@ from repro.experiments.config import ExperimentScale
 from repro.rng import derive
 from repro.sampling import get_strategy
 from repro.space import DataPool
+from repro.surrogate import surrogate_entry
 from repro.workloads import Benchmark
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "run_single",
     "strategy_trace",
     "comparison_traces",
+    "surrogate_overrides",
 ]
 
 #: The α values every run evaluates (Section III-D).
@@ -100,6 +102,18 @@ def prepare_data(
     # to the historical measure_encoded call — same single noise draw).
     y_test = benchmark.evaluate_batch(X_test, rng)
     return DataPool(X_pool), X_test, y_test
+
+
+def surrogate_overrides(surrogate: "str | None") -> "dict | None":
+    """Validate a surrogate name and translate it to config overrides.
+
+    ``None`` and the default "forest" map to *no* overrides, so default
+    job keys — and every cached trial and committed trace — stay
+    byte-identical.  Unknown names raise ``KeyError`` (did-you-mean).
+    """
+    if surrogate is not None:
+        surrogate_entry(surrogate)
+    return None if surrogate in (None, "forest") else {"surrogate": surrogate}
 
 
 def _learner_config(

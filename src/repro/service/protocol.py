@@ -85,6 +85,21 @@ class ProtocolError(Exception):
         return envelope({"error": {"code": self.code, "message": self.message}})
 
 
+#: Spec fields that override the named scale's sizes unless ``None``.
+_SIZE_FIELDS = (
+    "n_init", "n_batch", "n_max", "eval_every", "n_estimators", "pool_size", "test_size"
+)
+#: Largest size a spec may ask for.  Probing or building a session
+#: allocates in proportion to its sizes (the forest keeps one stamp per
+#: tree), so an unbounded size from a client could exhaust the host.
+_MAX_SIZE = 1_000_000
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance`` that does not take a bool for a number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SessionSpec:
     """Everything needed to (re)build one tuning session's learner.
@@ -130,8 +145,23 @@ class SessionSpec:
                 "bad_scale",
                 f"scale must be one of {sorted(SCALES)}, got {self.scale!r}",
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_a(self.seed, int):
             raise ProtocolError(400, "bad_seed", "seed must be an integer")
+        for name in ("benchmark", "strategy", "surrogate"):
+            if not isinstance(getattr(self, name), str):
+                raise ProtocolError(400, "bad_request", f"{name} must be a string")
+        for name in _SIZE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not (_is_a(value, int) and value <= _MAX_SIZE):
+                raise ProtocolError(
+                    400, "bad_request", f"{name} must be an integer <= {_MAX_SIZE}"
+                )
+        if not _is_a(self.alpha, (int, float)):
+            raise ProtocolError(400, "bad_request", "alpha must be a number")
+        if not isinstance(self.alphas, (list, tuple)) or not all(
+            _is_a(a, (int, float)) for a in self.alphas
+        ):
+            raise ProtocolError(400, "bad_request", "alphas must be a list of numbers")
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
     # -- construction --------------------------------------------------------
@@ -158,27 +188,21 @@ class SessionSpec:
             raise ProtocolError(
                 400, "missing_field", "session spec requires 'benchmark'"
             )
-        kwargs = dict(payload)
-        if "alphas" in kwargs:
-            kwargs["alphas"] = tuple(kwargs["alphas"])
         try:
-            spec = cls(**kwargs)
-        except ProtocolError:
-            raise
-        except (TypeError, ValueError) as exc:
+            spec = cls(**payload)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError(400, "bad_request", str(exc)) from exc
         spec.validate_names()
         try:
-            spec.to_scale()
             config = spec.learner_config()
-            # Probe buildability: a registered surrogate that needs options
-            # the wire spec cannot carry (e.g. "transfer" without a source
-            # model) must fail at session creation, not mid-session.
+            # Probe buildability: a strategy or surrogate that rejects the
+            # spec (PWU's alpha outside [0, 1], a forest of zero trees, a
+            # refusing factory) must fail at creation, not mid-session.
+            from repro.sampling import get_strategy
             from repro.surrogate import make_surrogate
 
+            get_strategy(spec.strategy, alpha=spec.alpha)
             make_surrogate(spec.surrogate, config=config)
-        except ProtocolError:
-            raise
         except ValueError as exc:
             raise ProtocolError(400, "bad_spec", str(exc)) from exc
         return spec
@@ -226,17 +250,9 @@ class SessionSpec:
         """The effective experiment scale: named scale + explicit overrides."""
         base = SCALES[self.scale]
         overrides = {
-            k: v
-            for k, v in (
-                ("n_init", self.n_init),
-                ("n_batch", self.n_batch),
-                ("n_max", self.n_max),
-                ("eval_every", self.eval_every),
-                ("n_estimators", self.n_estimators),
-                ("pool_size", self.pool_size),
-                ("test_size", self.test_size),
-            )
-            if v is not None
+            name: getattr(self, name)
+            for name in _SIZE_FIELDS
+            if getattr(self, name) is not None
         }
         return replace(base, n_trials=1, **overrides)
 

@@ -100,7 +100,9 @@ class SessionRegistry:
                 continue
             try:
                 session = Session.load(entry)
-            except (RuntimeError, ProtocolError, OSError, KeyError, ValueError) as exc:
+            except (
+                RuntimeError, ProtocolError, OSError, KeyError, TypeError, ValueError
+            ) as exc:
                 # Keep the wreck visible: list() reports it as failed
                 # instead of pretending the session never existed.
                 self._failed_loads[entry.name] = str(exc)

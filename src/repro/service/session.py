@@ -30,6 +30,8 @@ suggest/report wire protocol safe.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 import threading
 import time
 from pathlib import Path
@@ -178,6 +180,20 @@ def _json_safe(value):
     return value
 
 
+def _flat_list_of(values, accept) -> bool:
+    """Whether ``values`` is a list, tuple or 1-D array of accepted non-bools."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
+    return isinstance(values, (list, tuple)) and all(
+        not isinstance(v, bool) and accept(v) for v in values
+    )
+
+
+def _is_execution_time(value) -> bool:
+    """A finite number > 0, like every label :func:`measure_round` produces."""
+    return isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
+
+
 class Session:
     """One tuning session: spec + learner + journal directory + lock.
 
@@ -201,8 +217,15 @@ class Session:
     # -- construction --------------------------------------------------------
     @classmethod
     def create(cls, session_id: str, spec: SessionSpec, directory: Path) -> "Session":
-        """Create a fresh session directory with its ``meta.json``."""
-        directory = Path(directory)
+        """Build a fresh session, then write its directory and ``meta.json``.
+
+        A spec that cannot build leaves nothing on disk (400 ``bad_spec``).
+        """
+        try:
+            session = cls(session_id, spec, directory)
+        except ValueError as exc:
+            raise ProtocolError(400, "bad_spec", str(exc)) from exc
+        directory = session.dir
         directory.mkdir(parents=True, exist_ok=True)
         meta = {
             "schema": SERVICE_SCHEMA,
@@ -214,7 +237,6 @@ class Session:
             directory / META_NAME,
             json.dumps(meta, sort_keys=True, indent=1) + "\n",
         )
-        session = cls(session_id, spec, directory)
         counters.inc("service.sessions.created")
         return session
 
@@ -358,7 +380,11 @@ class Session:
                     "call suggest first",
                 )
             pending_idx = [int(i) for i in pending[0]]
-            stated = [int(i) for i in np.asarray(indices).reshape(-1)]
+            if not _flat_list_of(indices, lambda i: isinstance(i, numbers.Integral)):
+                raise ProtocolError(
+                    400, "bad_report", "indices must be a flat list of integers"
+                )
+            stated = [int(i) for i in indices]
             if stated != pending_idx:
                 raise ProtocolError(
                     409,
@@ -366,7 +392,11 @@ class Session:
                     f"reported indices {stated} do not match the pending "
                     f"suggestion {pending_idx}",
                 )
-            y_arr = np.asarray(y, dtype=np.float64).reshape(-1)
+            if not _flat_list_of(y, _is_execution_time):
+                raise ProtocolError(
+                    400, "bad_report", "y must be a flat list of finite times > 0"
+                )
+            y_arr = np.asarray(y, dtype=np.float64)
             if len(y_arr) != len(pending_idx):
                 raise ProtocolError(
                     400,

@@ -2,13 +2,13 @@
 
 The active-learning loop only needs ``(μ, σ)`` per pool point; this
 package makes that contract formal (:class:`Surrogate`), registers every
-model family by name (``forest``, ``gp``, ``select``, ``stack``,
-``transfer``), and gives them one serialization envelope — so the
-learner, the api, the CLI, and the tuning service swap surrogates with a
-string.  See DESIGN.md §2i.
+model family by name (``forest``, ``gp``, ``select``, ``stack``), and
+gives them one serialization envelope — so the learner, the api, the
+CLI, and the tuning service swap surrogates with a string: a surrogate
+is built from its name alone.  See DESIGN.md §2i.
 """
 
-from repro.surrogate.adapters import ForestSurrogate, GPSurrogate, TransferSurrogate
+from repro.surrogate.adapters import ForestSurrogate, GPSurrogate
 from repro.surrogate.base import Surrogate
 from repro.surrogate.registry import (
     SURROGATE_NAMES,
@@ -26,7 +26,6 @@ __all__ = [
     "Surrogate",
     "ForestSurrogate",
     "GPSurrogate",
-    "TransferSurrogate",
     "SelectSurrogate",
     "StackSurrogate",
     "SURROGATE_NAMES",

@@ -18,14 +18,13 @@ from repro.forest import RandomForestRegressor
 from repro.forest.serialize import forest_from_payload, forest_payload
 from repro.surrogate.base import Surrogate
 
-__all__ = ["ForestSurrogate", "GPSurrogate", "TransferSurrogate"]
+__all__ = ["ForestSurrogate", "GPSurrogate"]
 
 
 class ForestSurrogate(Surrogate):
     """The paper's CART forest (:mod:`repro.forest`) behind the protocol."""
 
     kind = "forest"
-    supports_partial_update = True
 
     def __init__(self, forest: RandomForestRegressor) -> None:
         self.forest = forest
@@ -43,8 +42,6 @@ class ForestSurrogate(Surrogate):
     def build(
         cls,
         n_estimators: int = 30,
-        max_features="third",
-        min_samples_leaf: int = 1,
         uncertainty: str = "across_trees",
         seed=None,
     ) -> "ForestSurrogate":
@@ -52,8 +49,6 @@ class ForestSurrogate(Surrogate):
         return cls(
             RandomForestRegressor(
                 n_estimators=n_estimators,
-                max_features=max_features,
-                min_samples_leaf=min_samples_leaf,
                 uncertainty=uncertainty,
                 seed=seed,
             )
@@ -99,7 +94,6 @@ class GPSurrogate(Surrogate):
     """
 
     kind = "gp"
-    supports_partial_update = False
 
     #: Scalar state mirrored to/from the payload (name → attribute).
     _SCALARS = (
@@ -122,15 +116,11 @@ class GPSurrogate(Surrogate):
         self.gp = gp
 
     @classmethod
-    def build(cls, seed=None, n_restarts: int = 1) -> "GPSurrogate":
+    def build(cls, seed=None) -> "GPSurrogate":
         from repro.gp import GaussianProcessRegressor
 
         # log_targets keeps predicted times positive — see repro.gp.
-        return cls(
-            GaussianProcessRegressor(
-                n_restarts=n_restarts, log_targets=True, seed=seed
-            )
-        )
+        return cls(GaussianProcessRegressor(n_restarts=1, log_targets=True, seed=seed))
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GPSurrogate":
         self.gp.fit(X, y)
@@ -173,102 +163,3 @@ class GPSurrogate(Surrogate):
             setattr(gp, attr, np.asarray(payload[key], dtype=np.float64))
         gp._fitted = True
         return cls(gp)
-
-
-class TransferSurrogate(Surrogate):
-    """A frozen source model as a Bayesian prior over the target surface.
-
-    Wraps :mod:`repro.transfer`'s portability idea — a model fit on an
-    already-tuned platform carries rank information to a related one —
-    as a first-class surrogate: predictions blend the frozen *source*
-    model with a *target* forest fit on this run's measurements, with
-    the prior's weight decaying as evidence accumulates::
-
-        w      = prior_weight / (prior_weight + n_train)
-        μ      = w·μ_src + (1−w)·μ_tgt
-        σ²     = w·σ_src² + (1−w)·σ_tgt² + w(1−w)(μ_src − μ_tgt)²
-
-    (mixture moment matching: the cross-model disagreement term keeps σ
-    honest where source and target surfaces diverge).  ``prior_weight``
-    is the pseudo-count of source observations the prior is worth.
-    """
-
-    kind = "transfer"
-    supports_partial_update = False
-
-    def __init__(
-        self,
-        source: Surrogate,
-        prior_weight: float = 32.0,
-        target_factory=None,
-    ) -> None:
-        if prior_weight <= 0:
-            raise ValueError(f"prior_weight must be > 0, got {prior_weight}")
-        self.source = source
-        self.prior_weight = float(prior_weight)
-        self._target_factory = (
-            target_factory if target_factory is not None else ForestSurrogate.build
-        )
-        self.target: "Surrogate | None" = None
-        self._n_train = 0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "TransferSurrogate":
-        self.target = self._target_factory()
-        self.target.fit(X, y)
-        self._n_train = len(np.asarray(y))
-        return self
-
-    def _blend(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if self.target is None:
-            raise RuntimeError("transfer surrogate is not fitted; call fit() first")
-        w = self.prior_weight / (self.prior_weight + self._n_train)
-        mu_s, sd_s = self.source.predict_with_uncertainty(X)
-        mu_t, sd_t = self.target.predict_with_uncertainty(X)
-        mu = w * mu_s + (1.0 - w) * mu_t
-        var = (
-            w * sd_s**2
-            + (1.0 - w) * sd_t**2
-            + w * (1.0 - w) * (mu_s - mu_t) ** 2
-        )
-        return mu, np.sqrt(var)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        mu, _ = self._blend(X)
-        return mu
-
-    def predict_with_uncertainty(
-        self, X: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._blend(X)
-
-    @property
-    def training_targets(self) -> np.ndarray:
-        if self.target is None:
-            raise RuntimeError("transfer surrogate is not fitted; call fit() first")
-        return self.target.training_targets
-
-    def serialize(self) -> dict[str, np.ndarray]:
-        if self.target is None:
-            raise ValueError("cannot serialize an unfitted transfer surrogate")
-        from repro.surrogate.serialize import embed_blob, surrogate_bytes
-
-        return {
-            "prior_weight": np.asarray(self.prior_weight),
-            "n_train": np.asarray(self._n_train),
-            "source_blob": embed_blob(surrogate_bytes(self.source)),
-            "target_blob": embed_blob(surrogate_bytes(self.target)),
-        }
-
-    @classmethod
-    def deserialize(cls, payload: dict[str, np.ndarray]) -> "TransferSurrogate":
-        from repro.surrogate.serialize import extract_blob, load_surrogate
-
-        model = cls(
-            source=load_surrogate(extract_blob(payload["source_blob"])),
-            prior_weight=float(payload["prior_weight"]),
-        )
-        model.target = load_surrogate(extract_blob(payload["target_blob"]))
-        model._n_train = int(payload["n_train"])
-        return model

@@ -3,20 +3,20 @@ can drive Algorithm 1.
 
 The loop is surrogate-agnostic: PWU and its siblings only need ``(μ, σ)``
 per pool point.  Historically the CART forest was hard-wired into the
-learner while :mod:`repro.gp` and :mod:`repro.transfer` sat off to the
-side with ad-hoc interfaces; this module makes the contract explicit so
-any registered model — forest, GP, transfer prior, cross-validated
-selection, error-weighted stack — flows through the learner, the engine,
-the CLI, and the service unchanged.
+learner while :mod:`repro.gp` sat off to the side with an ad-hoc
+interface; this module makes the contract explicit so any registered
+model — forest, GP, cross-validated selection, error-weighted stack —
+flows through the learner, the engine, the CLI, and the service
+unchanged.
 
 The contract:
 
 ``fit(X, y)``
     Train from scratch on the full labeled set.
 ``update(X_new, y_new, refresh_fraction)``
-    Incorporate a new batch incrementally; only surrogates with
-    ``supports_partial_update = True`` implement it (the learner's
-    ``retrain="partial"`` mode checks the flag up front).
+    Incorporate a new batch incrementally; only surrogates registered
+    with ``supports_partial_update=True`` implement it (the learner's
+    ``retrain="partial"`` mode checks the registry flag up front).
 ``predict(X)`` / ``predict_with_uncertainty(X)``
     Posterior mean, and (mean, std), in the original target units.
 ``training_targets``
@@ -48,10 +48,6 @@ class Surrogate(ABC):
     #: and stamped into serialized payloads for dispatch on load.
     kind: str = ""
 
-    #: Whether :meth:`update` performs a genuine incremental refresh.
-    #: The learner's ``retrain="partial"`` mode requires this.
-    supports_partial_update: bool = False
-
     # -- training ----------------------------------------------------------
     @abstractmethod
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Surrogate":
@@ -62,8 +58,8 @@ class Surrogate(ABC):
     ) -> "Surrogate":
         """Incorporate a new batch incrementally.
 
-        The default raises — only surrogates advertising
-        ``supports_partial_update`` override it.
+        The default raises — only surrogates registered with
+        ``supports_partial_update=True`` override it.
         """
         raise NotImplementedError(
             f"the {self.kind or type(self).__name__!r} surrogate only "

@@ -3,20 +3,18 @@
 Every component that resolves a surrogate *name* — the learner config,
 :mod:`repro.api`, the CLI's ``--surrogate``, the service's
 ``SessionSpec`` — goes through :func:`make_surrogate`; there is
-deliberately no other name→model mapping in the tree.  Factories take
-``(config, rng, options)``:
+deliberately no other name→model mapping in the tree.  A surrogate is
+built from its name alone: factories are called as
+``factory(config=config, rng=rng)``:
 
 ``config``
     The :class:`~repro.active.learner.LearnerConfig` (duck-typed — only
-    the forest hyper-parameter fields are read, with the historical
+    ``n_estimators`` and ``uncertainty`` are read, with the learner's
     defaults when absent), so registered surrogates see the same knobs
     the forest always has.
 ``rng``
     The learner's shared generator: candidate fits draw from the same
     stream as the strategy, keeping runs bit-identical at any ``--jobs``.
-``options``
-    Free-form per-surrogate settings (e.g. ``transfer``'s source-model
-    path), carried as ``LearnerConfig.surrogate_options``.
 
 Capability flags are registered alongside the factory so callers can
 validate cheaply (``supports_partial_update``) without building a model.
@@ -40,7 +38,7 @@ __all__ = [
 ]
 
 #: The built-in families, in documentation order.
-SURROGATE_NAMES: tuple[str, ...] = ("forest", "gp", "select", "stack", "transfer")
+SURROGATE_NAMES: tuple[str, ...] = ("forest", "gp", "select", "stack")
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ def register_surrogate(
     description: str = "",
     overwrite: bool = False,
 ) -> None:
-    """Register ``factory(config, rng, options) -> Surrogate`` under ``name``.
+    """Register ``factory(config, rng) -> Surrogate`` under ``name``.
 
     Registering an existing name raises unless ``overwrite=True`` — a
     silently shadowed surrogate would corrupt comparisons.
@@ -97,37 +95,28 @@ def available_surrogates() -> tuple[str, ...]:
     return _REGISTRY.available()
 
 
-def make_surrogate(
-    name: str,
-    config: Any = None,
-    rng=None,
-    options: "dict | None" = None,
-) -> Surrogate:
+def make_surrogate(name: str, config: Any = None, rng=None) -> Surrogate:
     """Instantiate a registered surrogate by name (see module docstring)."""
-    return surrogate_entry(name).factory(
-        config=config, rng=rng, options=dict(options or {})
-    )
+    return surrogate_entry(name).factory(config=config, rng=rng)
 
 
 # -- built-in factories ------------------------------------------------------
 
 
-def _forest_factory(config, rng, options) -> Surrogate:
+def _forest_factory(config, rng) -> Surrogate:
     from repro.surrogate.adapters import ForestSurrogate
 
     return ForestSurrogate.build(
         n_estimators=getattr(config, "n_estimators", 30),
-        max_features=getattr(config, "max_features", "third"),
-        min_samples_leaf=getattr(config, "min_samples_leaf", 1),
         uncertainty=getattr(config, "uncertainty", "across_trees"),
         seed=rng,
     )
 
 
-def _gp_factory(config, rng, options) -> Surrogate:
+def _gp_factory(config, rng) -> Surrogate:
     from repro.surrogate.adapters import GPSurrogate
 
-    return GPSurrogate.build(seed=rng, n_restarts=int(options.get("n_restarts", 1)))
+    return GPSurrogate.build(seed=rng)
 
 
 def _candidate_builder(config, rng):
@@ -137,53 +126,16 @@ def _candidate_builder(config, rng):
     return build
 
 
-def _select_factory(config, rng, options) -> Surrogate:
+def _select_factory(config, rng) -> Surrogate:
     from repro.surrogate.select import SelectSurrogate
 
-    return SelectSurrogate(
-        candidates=tuple(options.get("candidates", ("forest", "gp"))),
-        k_folds=int(options.get("k_folds", 3)),
-        builder=_candidate_builder(config, rng),
-        seed=rng,
-    )
+    return SelectSurrogate(builder=_candidate_builder(config, rng), seed=rng)
 
 
-def _stack_factory(config, rng, options) -> Surrogate:
+def _stack_factory(config, rng) -> Surrogate:
     from repro.surrogate.stack import StackSurrogate
 
-    return StackSurrogate(
-        members=tuple(options.get("members", ("forest", "gp"))),
-        k_folds=int(options.get("k_folds", 3)),
-        builder=_candidate_builder(config, rng),
-        seed=rng,
-    )
-
-
-def _transfer_factory(config, rng, options) -> Surrogate:
-    from repro.surrogate.adapters import TransferSurrogate
-    from repro.surrogate.base import Surrogate as _Surrogate
-
-    source = options.get("source")
-    if source is None:
-        raise ValueError(
-            "the transfer surrogate needs a source model: pass "
-            "surrogate_options with source=<path to a saved surrogate/forest "
-            "npz> (or a fitted model instance)"
-        )
-    if isinstance(source, (str, bytes)):
-        from repro.surrogate.serialize import load_surrogate
-
-        source = load_surrogate(source)
-    elif not isinstance(source, _Surrogate):
-        # A raw fitted forest/GP: wrap it so it speaks the protocol.
-        from repro.surrogate.adapters import ForestSurrogate
-
-        source = ForestSurrogate(source)
-    return TransferSurrogate(
-        source=source,
-        prior_weight=float(options.get("prior_weight", 32.0)),
-        target_factory=lambda: _forest_factory(config, rng, {}),
-    )
+    return StackSurrogate(builder=_candidate_builder(config, rng), seed=rng)
 
 
 register_surrogate(
@@ -206,9 +158,4 @@ register_surrogate(
     "stack",
     _stack_factory,
     description="inverse-CV-error weighted blend; disagreement feeds sigma",
-)
-register_surrogate(
-    "transfer",
-    _transfer_factory,
-    description="frozen source model as a decaying prior over a target forest",
 )

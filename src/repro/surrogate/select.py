@@ -92,7 +92,6 @@ class SelectSurrogate(Surrogate):
     """Per-refit cross-validated selection among registered candidates."""
 
     kind = "select"
-    supports_partial_update = False
 
     def __init__(
         self,

@@ -11,9 +11,12 @@ compatibility properties are deliberate:
   :func:`load_surrogate` defaults the kind to ``"forest"``, so every
   model the service ever served remains loadable.
 
-Meta-surrogates (``select``/``stack``/``transfer``) nest their children
-as byte blobs — each child is itself a complete envelope — via
+Meta-surrogates (``select``/``stack``) nest their children as byte
+blobs — each child is itself a complete envelope — via
 :func:`embed_blob` / :func:`extract_blob`.
+
+An unknown ``surrogate_kind`` (e.g. ``"transfer"``, which earlier builds
+wrote) or a newer ``surrogate_schema`` raises :class:`EnvelopeError`.
 """
 
 from __future__ import annotations
@@ -39,23 +42,13 @@ SURROGATE_SCHEMA_VERSION = 1
 
 
 def _kind_classes() -> dict[str, type]:
-    from repro.surrogate.adapters import (
-        ForestSurrogate,
-        GPSurrogate,
-        TransferSurrogate,
-    )
+    from repro.surrogate.adapters import ForestSurrogate, GPSurrogate
     from repro.surrogate.select import SelectSurrogate
     from repro.surrogate.stack import StackSurrogate
 
     return {
         cls.kind: cls
-        for cls in (
-            ForestSurrogate,
-            GPSurrogate,
-            TransferSurrogate,
-            SelectSurrogate,
-            StackSurrogate,
-        )
+        for cls in (ForestSurrogate, GPSurrogate, SelectSurrogate, StackSurrogate)
     }
 
 
@@ -105,17 +98,21 @@ def surrogate_from_payload(
     kind = str(payload.get("surrogate_kind", "forest"))
     schema = int(payload.get("surrogate_schema", SURROGATE_SCHEMA_VERSION))
     if schema > SURROGATE_SCHEMA_VERSION:
-        raise ValueError(
+        raise EnvelopeError(
+            source,
+            _EXPECTED,
             f"unsupported surrogate envelope schema {schema} "
-            f"(this build reads <= {SURROGATE_SCHEMA_VERSION})"
+            f"(this build reads <= {SURROGATE_SCHEMA_VERSION})",
         )
     classes = _kind_classes()
     try:
         cls = classes[kind]
     except KeyError:
-        raise ValueError(
+        raise EnvelopeError(
+            source,
+            _EXPECTED,
             f"unknown surrogate kind {kind!r} in envelope "
-            f"(known: {', '.join(sorted(classes))})"
+            f"(known: {', '.join(sorted(classes))})",
         ) from None
     try:
         return cls.deserialize(payload)

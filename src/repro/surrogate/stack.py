@@ -39,7 +39,6 @@ class StackSurrogate(Surrogate):
     """Inverse-CV-error weighted blend of registered surrogates."""
 
     kind = "stack"
-    supports_partial_update = False
 
     def __init__(
         self,

@@ -197,13 +197,8 @@ def distill_workload(
     y = benchmark.evaluate_batch(X, campaign_rng)
 
     # Duck-typed config: the surrogate factories read the forest knobs via
-    # getattr with the learner's historical defaults.
-    config = SimpleNamespace(
-        n_estimators=int(n_estimators),
-        max_features="third",
-        min_samples_leaf=1,
-        uncertainty="across_trees",
-    )
+    # getattr, with the learner's defaults for the ones not set here.
+    config = SimpleNamespace(n_estimators=int(n_estimators))
     model = make_surrogate(
         surrogate, config=config, rng=derive(seed, "distill", benchmark.name, "fit")
     )

@@ -44,3 +44,15 @@ class TestExamples:
         assert "opened session" in result.stdout
         assert "suggest/report rounds" in result.stdout
         assert "best predicted time" in result.stdout
+
+    def test_transfer_portability(self):
+        result = _run("transfer_portability.py")
+        assert result.returncode == 0, result.stderr
+        assert "surface rank correlation" in result.stdout
+        assert "transfer-seeded" in result.stdout
+
+    def test_compare_strategies(self):
+        result = _run("compare_strategies.py")
+        assert result.returncode == 0, result.stderr
+        assert "final RMSE@1%" in result.stdout
+        assert "cost to reach RMSE" in result.stdout

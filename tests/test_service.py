@@ -17,8 +17,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._version import __version__
+from repro.sampling import get_strategy
 from repro.service.app import ServiceApp
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -39,6 +42,35 @@ SPEC_FIELDS = dict(
     n_max=18,
     pool_size=200,
     test_size=150,
+)
+
+
+#: Spec fields that size the session: each must end up an int or None.
+SIZE_FIELDS = (
+    "n_init",
+    "n_batch",
+    "n_max",
+    "eval_every",
+    "n_estimators",
+    "pool_size",
+    "test_size",
+)
+
+#: What a client can put in any spec field: JSON scalars (Python's json
+#: also reads NaN and Infinity), short lists and small dicts, plus values
+#: some fields accept so that draws get past the first checks.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["atax", "pwu", "random", "gp", "smoke", "client", 0.5]),
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2),
 )
 
 
@@ -141,6 +173,12 @@ class TestProtocol:
             ({"benchmark": "atax", "strategy": "nope"}, "unknown_strategy"),
             ({"benchmark": "atax", "n_max": 9000}, "bad_spec"),
             ("not a dict", "bad_request"),
+            ({"benchmark": "atax", "n_max": "abc"}, "bad_request"),
+            ({"benchmark": "atax", "alphas": 5}, "bad_request"),
+            ({"benchmark": 5}, "bad_request"),
+            ({"benchmark": "atax", "pool_size": 200.5}, "bad_request"),
+            ({"benchmark": "atax", "alpha": 5.0}, "bad_spec"),
+            ({"benchmark": "atax", "n_estimators": 10**12}, "bad_request"),
         ],
     )
     def test_spec_validation_errors(self, payload, code):
@@ -148,6 +186,29 @@ class TestProtocol:
             SessionSpec.from_payload(payload)
         assert err.value.status == 400
         assert err.value.code == code
+
+    @given(
+        payload=st.dictionaries(
+            st.sampled_from(sorted(SessionSpec.__dataclass_fields__)),
+            JSON_VALUES,
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_from_payload_accepts_only_buildable_specs(self, payload):
+        payload.setdefault("benchmark", "atax")
+        try:
+            spec = SessionSpec.from_payload(payload)
+        except ProtocolError as exc:
+            assert exc.status == 400
+            return
+        for name in SIZE_FIELDS:
+            value = getattr(spec, name)
+            assert value is None or (
+                isinstance(value, int) and not isinstance(value, bool)
+            ), (name, value)
+        spec.learner_config()
+        get_strategy(spec.strategy, alpha=spec.alpha)
 
 
 class TestAppRouting:
@@ -194,6 +255,62 @@ class TestAppRouting:
         )
         assert status == 409
         assert data["error"]["code"] == "no_pending_suggestion"
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("y", [None] * SPEC_FIELDS["n_init"]),
+            ("y", ["a"] * SPEC_FIELDS["n_init"]),
+            ("y", [-1.0] * SPEC_FIELDS["n_init"]),
+            ("y", [0.0] * SPEC_FIELDS["n_init"]),
+            ("y", [float("nan")] * SPEC_FIELDS["n_init"]),
+            ("y", [float("inf")] * SPEC_FIELDS["n_init"]),
+            ("indices", ["a"]),
+        ],
+        ids=["null", "string", "negative", "zero", "nan", "inf", "indices"],
+    )
+    def test_bad_report_400_leaves_the_journal_clean(self, tmp_path, field, bad):
+        driver = AppDriver(tmp_path)
+        _, data = driver.call("POST", "/v1/sessions", SPEC_FIELDS)
+        sid = data["session"]["id"]
+        _, data = driver.call("POST", f"/v1/sessions/{sid}/suggest")
+        sug = data["suggestion"]
+        y = measure_round(make_spec(), np.asarray(sug["x"]), sug["round"])
+        good = {"indices": sug["indices"], "y": [float(v) for v in y]}
+        status, data = driver.call(
+            "POST", f"/v1/sessions/{sid}/report", dict(good, **{field: bad})
+        )
+        assert status == 400 and data["error"]["code"] == "bad_report"
+        journal = tmp_path / "sessions" / sid / "journal.jsonl"
+        assert not journal.exists() or journal.read_bytes() == b""
+        _, data = driver.call("POST", f"/v1/sessions/{sid}/suggest")
+        assert data["suggestion"]["indices"] == sug["indices"]
+        status, data = driver.call("POST", f"/v1/sessions/{sid}/report", good)
+        assert status == 200, data
+        status, data = AppDriver(tmp_path).call("GET", f"/v1/sessions/{sid}")
+        assert status == 200, data
+        assert data["session"]["rounds"] == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"alpha": 5.0},
+            {"alpha": "x"},
+            {"pool_size": 200.5},
+            # Valid on its face, but kripke's 2,304-point space leaves a
+            # pool smaller than n_max: only building the learner finds out.
+            {"benchmark": "kripke", "pool_size": 7000, "test_size": 3000,
+             "n_max": 2000},
+        ],
+        ids=["alpha-range", "alpha-type", "pool-type", "pool-below-n_max"],
+    )
+    def test_unbuildable_spec_400_leaves_nothing_on_disk(self, tmp_path, overrides):
+        driver = AppDriver(tmp_path)
+        status, data = driver.call(
+            "POST", "/v1/sessions", dict(SPEC_FIELDS, **overrides)
+        )
+        assert status == 400, data
+        assert list((tmp_path / "sessions").iterdir()) == []
 
     def test_stale_report_409_keeps_suggestion_alive(self, tmp_path):
         driver = AppDriver(tmp_path)
@@ -256,22 +373,35 @@ class TestSurrogateSessions:
 
     def test_unknown_surrogate_rejected_with_400(self, tmp_path):
         driver = AppDriver(tmp_path)
-        status, data = driver.call(
-            "POST", "/v1/sessions", dict(SPEC_FIELDS, surrogate="forrest")
-        )
-        assert status == 400
-        assert data["error"]["code"] == "unknown_surrogate"
-        assert "forest" in data["error"]["message"]
+        for surrogate in ("forrest", "transfer"):
+            status, data = driver.call(
+                "POST", "/v1/sessions", dict(SPEC_FIELDS, surrogate=surrogate)
+            )
+            assert status == 400
+            assert data["error"]["code"] == "unknown_surrogate"
+            assert "forest" in data["error"]["message"]
 
     def test_transfer_without_source_rejected_at_creation(self, tmp_path):
-        # "transfer" needs a source model the wire spec cannot carry; it
-        # must fail at session creation, not mid-session.
-        driver = AppDriver(tmp_path)
-        status, data = driver.call(
-            "POST", "/v1/sessions", dict(SPEC_FIELDS, surrogate="transfer")
-        )
+        # A downstream transfer-style surrogate whose factory refuses to
+        # build without a source model the wire spec cannot carry must
+        # fail at session creation, not mid-session.
+        from repro.surrogate import register_surrogate
+        from repro.surrogate import registry as registry_mod
+
+        def needs_source(config, rng):
+            raise ValueError("this surrogate needs a source model")
+
+        register_surrogate("_needs_source", needs_source)
+        try:
+            driver = AppDriver(tmp_path)
+            status, data = driver.call(
+                "POST", "/v1/sessions", dict(SPEC_FIELDS, surrogate="_needs_source")
+            )
+        finally:
+            del registry_mod._REGISTRY["_needs_source"]
         assert status == 400
         assert data["error"]["code"] == "bad_spec"
+        assert "source model" in data["error"]["message"]
 
     def test_surrogate_participates_in_spec_hash(self):
         assert make_spec(surrogate="gp").spec_hash() != make_spec().spec_hash()
@@ -297,7 +427,7 @@ class TestSurrogateSessions:
         assert headers["X-Repro-Surrogate"] == "gp"
         assert isinstance(load_surrogate(io.BytesIO(raw)), GPSurrogate)
 
-    @pytest.mark.parametrize("surrogate", ["gp", "select"])
+    @pytest.mark.parametrize("surrogate", ["gp", "select", "stack"])
     def test_served_session_matches_offline_reference(
         self, tmp_path, surrogate
     ):
@@ -391,12 +521,19 @@ class TestSessionDeterminismAndResume:
         with pytest.raises(RuntimeError, match="replay diverged"):
             Session.load(session.dir)
 
-    def test_registry_keeps_corrupt_session_visible_as_failed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "first_line",
+        [b"{broken!}", b'{"indices": 5, "n": null, "round": 0, "y": [1.0]}'],
+        ids=["unparsable", "indices-not-a-list"],
+    )
+    def test_registry_keeps_corrupt_session_visible_as_failed(
+        self, tmp_path, first_line
+    ):
         driver = AppDriver(tmp_path)
         sid = driver.drive(SPEC_FIELDS, rounds=2)
         journal = tmp_path / "sessions" / sid / "journal.jsonl"
         lines = journal.read_bytes().splitlines(keepends=True)
-        journal.write_bytes(b"{broken!}\n" + b"".join(lines[1:]))
+        journal.write_bytes(first_line + b"\n" + b"".join(lines[1:]))
         driver2 = AppDriver(tmp_path)
         status, data = driver2.call("GET", f"/v1/sessions/{sid}")
         assert status == 410

@@ -10,6 +10,7 @@ import pytest
 
 import repro.api
 from repro.engine.context import EngineConfig, use_engine
+from repro.envelope import EnvelopeError
 from repro.forest import RandomForestRegressor, load_forest, save_forest
 from repro.registry import NameRegistry
 from repro.surrogate import (
@@ -19,7 +20,6 @@ from repro.surrogate import (
     SelectSurrogate,
     StackSurrogate,
     Surrogate,
-    TransferSurrogate,
     available_surrogates,
     load_surrogate,
     make_surrogate,
@@ -47,23 +47,17 @@ def positive_data(rng) -> "tuple[np.ndarray, np.ndarray]":
     return X, y
 
 
-def _fit(name: str, X, y, seed=0, **options) -> Surrogate:
-    return make_surrogate(name, rng=np.random.default_rng(seed), options=options)\
-        .fit(X, y)
+def _fit(name: str, X, y, seed=0) -> Surrogate:
+    return make_surrogate(name, rng=np.random.default_rng(seed)).fit(X, y)
 
 
 class TestRegistry:
     def test_builtin_names_registered(self):
         assert set(SURROGATE_NAMES) <= set(available_surrogates())
 
-    def test_every_builtin_is_buildable(self, positive_data):
-        X, y = positive_data
-        source = _fit("forest", X, y)
+    def test_every_builtin_is_buildable(self):
         for name in SURROGATE_NAMES:
-            options = {"source": source} if name == "transfer" else {}
-            model = make_surrogate(
-                name, rng=np.random.default_rng(0), options=options
-            )
+            model = make_surrogate(name, rng=np.random.default_rng(0))
             assert isinstance(model, Surrogate)
             assert model.kind == name
 
@@ -100,12 +94,8 @@ class TestRegistry:
 
     def test_capability_flags(self):
         assert supports_partial_update("forest")
-        for name in ("gp", "select", "stack", "transfer"):
+        for name in ("gp", "select", "stack"):
             assert not supports_partial_update(name)
-
-    def test_transfer_requires_source(self):
-        with pytest.raises(ValueError, match="source"):
-            make_surrogate("transfer")
 
 
 class TestNameRegistry:
@@ -242,39 +232,8 @@ class TestStack:
     def test_equal_weights_when_cv_infeasible(self):
         X = np.array([[0.1, 0.2], [0.8, 0.9], [0.4, 0.5]])
         y = np.array([1.0, 2.0, 1.5])
-        model = _fit("stack", X, y, seed=0, k_folds=2)
+        model = StackSurrogate(k_folds=2, seed=np.random.default_rng(0)).fit(X, y)
         assert np.allclose(model.weights, [0.5, 0.5])
-
-
-class TestTransfer:
-    def test_strong_prior_tracks_source(self, positive_data):
-        X, y = positive_data
-        source = _fit("forest", X, y, seed=0)
-        model = TransferSurrogate(
-            source=source,
-            prior_weight=1e9,
-            target_factory=lambda: ForestSurrogate.build(
-                n_estimators=4, seed=1
-            ),
-        ).fit(X[:10], np.full(10, 99.0))
-        assert np.allclose(model.predict(X), source.predict(X), rtol=1e-6)
-
-    def test_weak_prior_tracks_target(self, positive_data):
-        X, y = positive_data
-        source = _fit("forest", X, np.full_like(y, 123.0), seed=0)
-        model = TransferSurrogate(
-            source=source,
-            prior_weight=1e-9,
-            target_factory=lambda: ForestSurrogate.build(
-                n_estimators=8, seed=1
-            ),
-        ).fit(X, y)
-        target_only = ForestSurrogate.build(n_estimators=8, seed=1).fit(X, y)
-        assert np.allclose(model.predict(X), target_only.predict(X), rtol=1e-6)
-
-    def test_rejects_nonpositive_prior_weight(self):
-        with pytest.raises(ValueError, match="prior_weight"):
-            TransferSurrogate(source=ForestSurrogate.build(), prior_weight=0.0)
 
 
 class TestSerialization:
@@ -288,17 +247,6 @@ class TestSerialization:
         loaded = self._roundtrip(model)
         assert type(loaded) is type(model)
         assert loaded.kind == name
-        mu_a, sd_a = model.predict_with_uncertainty(X)
-        mu_b, sd_b = loaded.predict_with_uncertainty(X)
-        assert np.allclose(mu_a, mu_b) and np.allclose(sd_a, sd_b)
-
-    def test_transfer_roundtrip(self, positive_data):
-        X, y = positive_data
-        source = _fit("forest", X, y, seed=0)
-        model = _fit("transfer", X[:30], y[:30], seed=1, source=source)
-        loaded = self._roundtrip(model)
-        assert isinstance(loaded, TransferSurrogate)
-        assert loaded.prior_weight == model.prior_weight
         mu_a, sd_a = model.predict_with_uncertainty(X)
         mu_b, sd_b = loaded.predict_with_uncertainty(X)
         assert np.allclose(mu_a, mu_b) and np.allclose(sd_a, sd_b)
@@ -334,9 +282,27 @@ class TestSerialization:
     def test_unfitted_models_refuse_to_serialize(self):
         with pytest.raises(ValueError, match="unfitted"):
             surrogate_bytes(GPSurrogate.build(seed=0))
-        source = ForestSurrogate.build(n_estimators=2, seed=0)
-        with pytest.raises(ValueError, match="unfitted"):
-            surrogate_bytes(TransferSurrogate(source=source))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("surrogate_kind", "transfer"),
+            ("surrogate_kind", "nope"),
+            ("surrogate_schema", 99),
+        ],
+    )
+    def test_undispatchable_envelope_raises_envelope_error(
+        self, positive_data, tmp_path, key, value
+    ):
+        X, y = positive_data
+        with np.load(io.BytesIO(surrogate_bytes(_fit("forest", X, y)))) as data:
+            payload = {k: data[k] for k in data.files}
+        payload[key] = np.asarray(value)
+        path = tmp_path / "model.npz"
+        np.savez(path, **payload)
+        with pytest.raises(EnvelopeError, match="model.npz") as err:
+            load_surrogate(str(path))
+        assert str(path) in str(err.value)
 
 
 class TestEndToEnd:
