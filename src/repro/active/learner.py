@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.active.history import IterationRecord, LearningHistory
-from repro.metrics import cumulative_cost, top_alpha_rmse
+from repro.metrics import cumulative_cost, rmse
 from repro.rng import as_generator
 from repro.sampling.base import SamplingStrategy, consume_selection_stats
 from repro.space import DataPool
@@ -133,12 +133,25 @@ class ActiveLearner:
             raise ValueError(
                 f"n_max={self.config.n_max} exceeds pool size {self.pool.n_total}"
             )
-        m = int(np.floor(len(self.y_test) * min(self.config.alphas)))
+        n_test = len(self.y_test)
+        m = int(np.floor(n_test * min(self.config.alphas)))
         if m < 1:
             raise ValueError(
-                f"test set of {len(self.y_test)} is too small for "
+                f"test set of {n_test} is too small for "
                 f"alpha={min(self.config.alphas)}"
             )
+        # Eq. 2 reads only the top ⌊n·α⌋ rows of the fixed test ranking:
+        # sort once and keep the first n_top.  A stable order's first ⌊n·α⌋
+        # entries are a prefix of those, so each α's RMSE reads the floats
+        # top_alpha_rmse would, in its order.  Never fewer than two rows:
+        # at one column the across-tree reductions sum pairwise instead.
+        n_top = max(2, int(np.floor(n_test * max(self.config.alphas))))
+        self._top_order = np.argsort(self.y_test, kind="stable")[:n_top]
+        self._top_X = np.ascontiguousarray(self.X_test[self._top_order])
+        self._top_y = self.y_test[self._top_order]
+        self._top_m = {
+            f"{a:g}": int(np.floor(n_test * a)) for a in self.config.alphas
+        }
         self.model: Surrogate | None = None
         self.X_train = np.empty((0, self.pool.X.shape[1]))
         self.y_train = np.empty(0)
@@ -189,17 +202,26 @@ class ActiveLearner:
         with span("learner.record", n_train=len(self.y_train)):
             self._record_inner()
 
-    def _record_inner(self) -> None:
-        pred = self.model.predict(self.X_test)
-        rmse = {
-            f"{a:g}": top_alpha_rmse(self.y_test, pred, a)
-            for a in self.config.alphas
+    def _test_rmse(self) -> dict[str, float]:
+        """Eq. 2 at every α, predicting only the top of the test ranking.
+
+        A surrogate that is not ``row_wise`` predicts the whole test set,
+        so its rows round exactly as in a full-set query.
+        """
+        if self.model.row_wise:
+            pred = self.model.predict(self._top_X)
+        else:
+            pred = self.model.predict(self.X_test)[self._top_order]
+        return {
+            key: rmse(self._top_y[:m], pred[:m]) for key, m in self._top_m.items()
         }
+
+    def _record_inner(self) -> None:
         self.history.append(
             IterationRecord(
                 n_train=len(self.y_train),
                 cumulative_cost=cumulative_cost(self.y_train),
-                rmse=rmse,
+                rmse=self._test_rmse(),
                 selected=tuple(self._pending_selected),
                 selected_mu=tuple(self._pending_mu),
                 selected_sigma=tuple(self._pending_sigma),

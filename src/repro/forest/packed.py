@@ -149,28 +149,19 @@ class PackedForest:
         """Pack a non-empty sequence of fitted :class:`RegressionTree`."""
         if not trees:
             raise ValueError("cannot pack an empty forest")
-        sizes = [len(t.feature_) for t in trees]
+        sizes = np.array([len(t.feature_) for t in trees], dtype=np.intp)
         offsets = np.zeros(len(trees) + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
-        feature = np.concatenate([t.feature_ for t in trees])
-        threshold = np.concatenate([t.threshold_ for t in trees])
-        value = np.concatenate([t.value_ for t in trees])
-        variance = np.concatenate([t.variance_ for t in trees])
-        count = np.concatenate([t.count_ for t in trees])
-        impurity = np.concatenate([t.impurity_ for t in trees])
+        arrays = {
+            name: np.concatenate([getattr(t, name + "_") for t in trees])
+            for name in FIELDS
+        }
         # Rebase child links to global node ids; leaves keep -1.
-        left = np.concatenate(
-            [np.where(t.left_ >= 0, t.left_ + off, _LEAF)
-             for t, off in zip(trees, offsets[:-1])]
-        )
-        right = np.concatenate(
-            [np.where(t.right_ >= 0, t.right_ + off, _LEAF)
-             for t, off in zip(trees, offsets[:-1])]
-        )
-        return cls(
-            feature, threshold, left, right, value, variance, count,
-            impurity, offsets, trees[0].n_features_,
-        )
+        shift = np.repeat(offsets[:-1], sizes)
+        for name in ("left", "right"):
+            child = arrays[name]
+            arrays[name] = np.where(child >= 0, child + shift, _LEAF)
+        return cls(**arrays, offsets=offsets, n_features=trees[0].n_features_)
 
     def to_trees(self):
         """Slice per-tree :class:`RegressionTree` objects back out.

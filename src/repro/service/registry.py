@@ -67,10 +67,17 @@ class SessionRegistry:
         if manifest_path.is_file():
             try:
                 manifest = json.loads(manifest_path.read_text())
-                manifest_serial = int(manifest.get("next_serial", 0))
-            except (json.JSONDecodeError, ValueError, OSError):
-                # A torn manifest is recoverable: the directory scan below
-                # is authoritative and the next write repairs the file.
+            except (ValueError, OSError):
+                manifest = None
+            serial = (
+                manifest.get("next_serial") if isinstance(manifest, dict) else None
+            )
+            if type(serial) is int:
+                manifest_serial = serial
+            else:
+                # A torn or wrong-shape manifest is recoverable: the
+                # directory scan below is authoritative and the next write
+                # repairs the file.
                 counters.inc("service.manifest_recovered")
         scanned = 0
         for entry in sorted(self.sessions_dir.iterdir()):

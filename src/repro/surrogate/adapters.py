@@ -25,6 +25,9 @@ class ForestSurrogate(Surrogate):
     """The paper's CART forest (:mod:`repro.forest`) behind the protocol."""
 
     kind = "forest"
+    #: Each row's traversal and across-tree reduction read only that row;
+    #: both reductions keep tree order from two columns up.
+    row_wise = True
 
     def __init__(self, forest: RandomForestRegressor) -> None:
         self.forest = forest
@@ -94,6 +97,8 @@ class GPSurrogate(Surrogate):
     """
 
     kind = "gp"
+    # Not row-wise: the mean's ``Ks @ alpha`` goes through BLAS dgemv,
+    # whose rounding of one row can depend on how many rows the query has.
 
     #: Scalar state mirrored to/from the payload (name → attribute).
     _SCALARS = (

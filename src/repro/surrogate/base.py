@@ -19,6 +19,10 @@ The contract:
     ``retrain="partial"`` mode checks the registry flag up front).
 ``predict(X)`` / ``predict_with_uncertainty(X)``
     Posterior mean, and (mean, std), in the original target units.
+``row_wise``
+    Whether ``predict(X)[i]`` depends on ``X[i]`` alone, bit for bit, for
+    any query of at least two rows.  The learner then predicts only the
+    test rows Eq. 2 reads; the default ``False`` is always safe.
 ``training_targets``
     Labels the model was fit on — incumbent-based strategies (EI) read
     this.
@@ -48,6 +52,10 @@ class Surrogate(ABC):
     #: and stamped into serialized payloads for dispatch on load.
     kind: str = ""
 
+    #: Whether ``predict(X)[i]`` depends on ``X[i]`` alone, bit for bit,
+    #: for any ``X`` of at least two rows (see :meth:`predict`).
+    row_wise: bool = False
+
     # -- training ----------------------------------------------------------
     @abstractmethod
     def fit(self, X: np.ndarray, y: np.ndarray) -> "Surrogate":
@@ -69,7 +77,16 @@ class Surrogate(ABC):
     # -- inference ---------------------------------------------------------
     @abstractmethod
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Posterior mean per row of ``X``, in original target units."""
+        """Posterior mean per row of ``X``, in original target units.
+
+        A surrogate whose ``row_wise`` is true promises that
+        ``predict(X)[rows]`` equals ``predict(X[rows])`` bit for bit for
+        any ``rows`` of at least two indices: no row's result reads another
+        row, and no reduction changes its summation order with the row
+        count.  The learner then scores Eq. 2 by predicting only the top
+        of the test ranking.  The default ``False`` is always safe: the
+        learner predicts the whole test set and gathers the rows it needs.
+        """
 
     @abstractmethod
     def predict_with_uncertainty(

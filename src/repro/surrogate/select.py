@@ -142,6 +142,10 @@ class SelectSurrogate(Surrogate):
             raise RuntimeError("select surrogate is not fitted; call fit() first")
         return self.model
 
+    @property
+    def row_wise(self) -> bool:
+        return self._fitted_model().row_wise
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self._fitted_model().predict(X)
 

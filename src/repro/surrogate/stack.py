@@ -92,6 +92,11 @@ class StackSurrogate(Surrogate):
             raise RuntimeError("stack surrogate is not fitted; call fit() first")
         return self.models
 
+    @property
+    def row_wise(self) -> bool:
+        # The blend reduces over members, per column, in member order.
+        return all(m.row_wise for m in self._fitted_models())
+
     def predict_with_uncertainty(
         self, X: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.forest._cgrower as _cgrower
 from repro.experiments.config import ExperimentScale
 from repro.space import (
     BooleanParameter,
@@ -18,6 +19,17 @@ from repro.space import (
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(params=["c-kernel", "numpy-fallback"])
+def kernel_mode(request, monkeypatch):
+    """Run each test against both the C kernel and the pure-numpy path."""
+    if request.param == "numpy-fallback":
+        monkeypatch.setattr(_cgrower, "_lib", None)
+        monkeypatch.setattr(_cgrower, "_attempted", True)
+    elif _cgrower.load() is None:
+        pytest.skip("C kernel unavailable in this environment")
+    return request.param
 
 
 @pytest.fixture

@@ -42,17 +42,6 @@ def _one_tree(feature, threshold, left, right, n_features=1):
     )
 
 
-@pytest.fixture(params=["c-kernel", "numpy-fallback"])
-def kernel_mode(request, monkeypatch):
-    """Run each test against both the C kernel and the pure-numpy path."""
-    if request.param == "numpy-fallback":
-        monkeypatch.setattr(_cgrower, "_lib", None)
-        monkeypatch.setattr(_cgrower, "_attempted", True)
-    elif _cgrower.load() is None:
-        pytest.skip("C kernel unavailable in this environment")
-    return request.param
-
-
 class TestPacking:
     def test_from_trees_to_trees_round_trip(self, rng):
         model, _ = _fitted_forest(rng)

@@ -32,6 +32,7 @@ from repro.service.protocol import (
 )
 from repro.service.registry import SessionRegistry
 from repro.service.session import Session, measure_round, offline_reference
+from repro.telemetry import counters
 
 #: A session small enough for fast tests but real enough to fit forests.
 SPEC_FIELDS = dict(
@@ -542,14 +543,36 @@ class TestSessionDeterminismAndResume:
         states = {s["id"]: s["state"] for s in data["sessions"]}
         assert states[sid] == "failed"
 
-    def test_serial_never_recycled_after_manifest_loss(self, tmp_path):
+    @staticmethod
+    def _reboot_on_manifest(tmp_path, manifest) -> float:
+        """Reboot on a lost (``None``) or damaged manifest and check the
+        next id still sorts after the existing session's; returns how many
+        manifest recoveries the reboot counted."""
         driver = AppDriver(tmp_path)
         _, a = driver.call("POST", "/v1/sessions", SPEC_FIELDS)
         # Crash before the manifest survived: the sessions/ scan rules.
-        (tmp_path / "manifest.json").unlink()
+        path = tmp_path / "manifest.json"
+        if manifest is None:
+            path.unlink()
+        else:
+            path.write_text(manifest)
+        recovered = counters.value("service.manifest_recovered")
         driver2 = AppDriver(tmp_path)
         _, b = driver2.call("POST", "/v1/sessions", SPEC_FIELDS)
         assert b["session"]["id"] > a["session"]["id"]
+        return counters.value("service.manifest_recovered") - recovered
+
+    def test_serial_never_recycled_after_manifest_loss(self, tmp_path):
+        assert self._reboot_on_manifest(tmp_path, None) == 0
+
+    @pytest.mark.parametrize(
+        "manifest",
+        ["garbage", "[]", "5", '{"next_serial": null}', '{"next_serial": [1]}',
+         '{"next_serial": 1e400}'],
+        ids=["garbage", "list", "int", "null-serial", "list-serial", "overflow"],
+    )
+    def test_serial_never_recycled_after_manifest_damage(self, tmp_path, manifest):
+        assert self._reboot_on_manifest(tmp_path, manifest) == 1
 
     def test_server_mode_session_runs_to_completion(self, tmp_path):
         registry = SessionRegistry(tmp_path)

@@ -31,6 +31,7 @@ from repro.surrogate import (
 )
 from repro.surrogate import registry as registry_mod
 from repro.surrogate.select import fold_slices
+from repro.workloads import get_benchmark
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +46,15 @@ def positive_data(rng) -> "tuple[np.ndarray, np.ndarray]":
     X = rng.random((60, 4))
     y = np.exp(0.8 * X[:, 0] + np.sin(4.0 * X[:, 1]) * 0.3) + 0.1 * X[:, 2]
     return X, y
+
+
+@pytest.fixture(scope="module")
+def atax_data() -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """60 measured atax configurations to fit on and 300 to query."""
+    bench = get_benchmark("atax")
+    r = np.random.default_rng(7)
+    X = bench.space.sample_encoded(r, 360)
+    return X[:60], bench.measure_encoded(X[:60], r), X[60:]
 
 
 def _fit(name: str, X, y, seed=0) -> Surrogate:
@@ -96,6 +106,24 @@ class TestRegistry:
         assert supports_partial_update("forest")
         for name in ("gp", "select", "stack"):
             assert not supports_partial_update(name)
+
+    @pytest.mark.parametrize("name", SURROGATE_NAMES)
+    def test_row_wise_contract(self, kernel_mode, atax_data, name):
+        """A model that reports ``row_wise`` predicts any subset of two or
+        more rows exactly as it predicts those rows inside a larger query."""
+        X, y, Q = atax_data
+        model = _fit(name, X, y)
+        if name == "select":
+            assert model.row_wise is model.model.row_wise
+        else:
+            assert model.row_wise is {"forest": True, "gp": False, "stack": False}[name]
+        if not model.row_wise:
+            return
+        full = model.predict(Q)
+        r = np.random.default_rng(1)
+        for k in (2, 3, 15, 16, 17, 300):
+            rows = r.choice(len(Q), size=k, replace=False)
+            assert model.predict(Q[rows]).tobytes() == full[rows].tobytes(), k
 
 
 class TestNameRegistry:

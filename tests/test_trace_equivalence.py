@@ -19,6 +19,7 @@ import repro.surrogate.adapters as adapters_mod
 from repro.active import ActiveLearner, LearnerConfig
 from repro.forest import RandomForestRegressor, RegressionTree
 from repro.forest.uncertainty import across_tree_std, total_variance_std
+from repro.metrics import top_alpha_rmse
 from repro.sampling import make_strategy
 from repro.space import DataPool
 
@@ -63,18 +64,6 @@ class _ReferenceForest(RandomForestRegressor):
         M = np.stack(means, axis=0)
         V = np.stack(variances, axis=0)
         return M.mean(axis=0), total_variance_std(M, V)
-
-
-@pytest.fixture(params=["c-kernel", "numpy-fallback"])
-def kernel_mode(request, monkeypatch):
-    """Run each test against both the C kernel and the pure-numpy path."""
-    if request.param == "numpy-fallback":
-        monkeypatch.setattr(_cgrower, "_lib", None)
-        monkeypatch.setattr(_cgrower, "_attempted", True)
-    else:
-        if _cgrower.load() is None:
-            pytest.skip("C kernel unavailable in this environment")
-    return request.param
 
 
 def _random_problem(seed, n=180, d=7):
@@ -228,13 +217,16 @@ class TestForestInference:
 
 
 def _run_learner(seed, strategy_name, forest_cls, disable_stat_reuse,
-                 monkeypatch_ctx, **cfg_overrides):
+                 monkeypatch_ctx, tied_labels=False, **cfg_overrides):
     r = np.random.default_rng(seed)
     n_pool, n_test = 140, 110
     Xall = r.random((n_pool + n_test, 5))
     truth = lambda A: 0.6 + A[:, 0] + 0.25 * np.sin(7 * A[:, 1])  # noqa: E731
     pool = DataPool(Xall[:n_pool])
     X_test, y_test = Xall[n_pool:], truth(Xall[n_pool:])
+    if tied_labels:
+        # ~15 distinct labels over 110 rows: ties straddle every cut-off.
+        y_test = np.round(y_test, 1)
     oracle_rng = np.random.default_rng(seed + 1)
     oracle = lambda A: truth(np.atleast_2d(A)) * np.exp(  # noqa: E731
         oracle_rng.normal(0, 0.01, len(np.atleast_2d(A)))
@@ -290,6 +282,59 @@ class TestFullRunEquivalence:
             assert a.selected_mu == b.selected_mu
             assert a.selected_sigma == b.selected_sigma
             assert a.rmse == b.rmse
+
+
+def _literal_eq2(self) -> dict:
+    """The historical full-set scoring: predict every test row, then
+    Equation 2 literally, once per α."""
+    pred = self.model.predict(self.X_test)
+    return {f"{a:g}": top_alpha_rmse(self.y_test, pred, a) for a in self.config.alphas}
+
+
+#: (alphas, tied test labels).  n_test is 110, so alpha 0.01 alone keeps
+#: one row, below the learner's 2-row floor.
+_EQ2_CASES = pytest.mark.parametrize(
+    "alphas, tied",
+    [((0.01, 0.05, 0.10), False), ((0.01,), False), ((0.01, 0.05, 0.10), True)],
+    ids=["paper-alphas", "one-row-alpha", "tied-labels"],
+)
+
+
+class TestEq2Scoring:
+    """The learner predicts only the top rows of the test ranking; every
+    recorded RMSE must equal the literal Equation 2 over the full set."""
+
+    @_EQ2_CASES
+    def test_forest_rmse_bit_identical_to_literal_eq2(
+        self, kernel_mode, alphas, tied, monkeypatch
+    ):
+        self._assert_literal("forest", alphas, tied, monkeypatch)
+
+    @pytest.mark.parametrize("surrogate", ["gp", "stack"])
+    @_EQ2_CASES
+    def test_full_set_rmse_bit_identical_to_literal_eq2(
+        self, surrogate, alphas, tied, monkeypatch
+    ):
+        self._assert_literal(surrogate, alphas, tied, monkeypatch)
+
+    @staticmethod
+    def _assert_literal(surrogate, alphas, tied, monkeypatch):
+        # 30 trees: below 8 a one-column pairwise sum is a plain loop, and
+        # a single-row query would round like a larger one.
+        cfg = dict(surrogate=surrogate, alphas=alphas, n_estimators=30)
+        with monkeypatch.context() as m:
+            m.setattr(learner_mod.ActiveLearner, "_test_rmse", _literal_eq2)
+            ref = _run_learner(41, "pwu", RandomForestRegressor, False, m,
+                               tied_labels=tied, **cfg)
+        with monkeypatch.context() as m:
+            fast = _run_learner(41, "pwu", RandomForestRegressor, False, m,
+                                tied_labels=tied, **cfg)
+        assert len(ref.records) == len(fast.records) > 1
+        for a, b in zip(ref.records, fast.records):
+            assert list(a.rmse) == list(b.rmse)
+            assert [v.hex() for v in a.rmse.values()] == [
+                v.hex() for v in b.rmse.values()
+            ]
 
 
 def _histories_equal(a, b) -> bool:
