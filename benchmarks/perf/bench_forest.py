@@ -6,8 +6,11 @@ pre-optimisation reference at paper scale (500 training rows, a 7000-row
 pool, 30 trees — Section III-D) and writes the results to
 ``BENCH_forest.json``:
 
-* ``fit`` — growing the full forest: presorted (one argsort per tree,
-  one C kernel call per tree) vs the per-node argsort reference.
+* ``fit`` — growing the full forest: presorted (with the C kernel, one
+  call grows every tree, bootstrap draws included, presorting each
+  sample by a counting sort over dense ranks computed once per fit;
+  without it, one stable argsort per feature per tree) vs the per-node
+  argsort reference.
 * ``pool_scoring`` — scoring the whole pool with uncertainty: packed
   all-tree traversal vs the per-tree Python prediction loop.
 * ``cached_partial_rescore`` — re-scoring the pool after a partial

@@ -58,7 +58,8 @@ def read_npz_payload(file, expected: str) -> "dict[str, np.ndarray]":
     ``expected`` describes the schema the caller wants (e.g. ``"a repro
     surrogate envelope (.npz, surrogate_schema <= 1)"``) and is embedded in
     the :class:`EnvelopeError` raised for any unreadable file: missing,
-    truncated, not a zip archive, corrupt members, or pickled content.
+    truncated, not a zip archive, corrupt, encrypted or unsupported
+    members, or pickled content.
     """
     source = describe_file(file)
     try:
@@ -71,6 +72,12 @@ def read_npz_payload(file, expected: str) -> "dict[str, np.ndarray]":
     except (zipfile.BadZipFile, zlib.error) as exc:
         raise EnvelopeError(
             source, expected, f"not a readable npz archive ({exc})"
+        ) from exc
+    except (NotImplementedError, RuntimeError) as exc:
+        # zipfile's errors for a member with an unknown compression method
+        # and for one flagged as encrypted.
+        raise EnvelopeError(
+            source, expected, f"unreadable archive member ({exc})"
         ) from exc
     except EOFError as exc:
         raise EnvelopeError(

@@ -2,16 +2,18 @@
 
 The kernel (``_grower.c``) is a plain shared library — no Python or numpy
 headers — compiled on demand with whatever C compiler the host provides
-and driven through :mod:`ctypes`.  It grows a whole tree per call, and to
-stay bit-identical with the numpy growers it reproduces three numpy
-behaviours: ``np.add.reduce``'s pairwise summation, ``np.dot`` through the
-very ``cblas_ddot`` numpy calls (resolved here from numpy's own extension
-module), and ``Generator.choice(d, size=m, replace=False)`` on the
-generator's ``bitgen_t``.  It also routes query rows through a packed
-forest and reduces per-tree predictions to their across-tree mean and
-std, a fourth reproduction of numpy (its axis-0 ``mean`` and ``std``).
-:func:`load` checks all four against numpy on a throwaway generator
-before handing the kernel out.
+and driven through :mod:`ctypes`.  :meth:`Kernel.grow_forest` grows all
+of a fit's trees in one call, straight into the packed node arrays.  To
+stay bit-identical with the numpy growers the kernel reproduces four
+numpy behaviours: ``np.add.reduce``'s pairwise summation, ``np.dot``
+through the very ``cblas_ddot`` numpy calls (resolved here from numpy's
+own extension module), and, on the generator's ``bitgen_t``,
+``Generator.integers(0, n, size=n)`` (the bootstrap) and
+``Generator.choice(d, size=m, replace=False)`` (the feature draws).  It
+also routes query rows through a packed forest and reduces per-tree
+predictions to their across-tree mean and std, a fifth reproduction of
+numpy (its axis-0 ``mean`` and ``std``).  :func:`load` checks all five
+against numpy on throwaway generators before handing the kernel out.
 
 Everything is best-effort: a missing compiler, a failed build, unwritable
 build directories, an unresolvable ``ddot``, a failed check, or the
@@ -63,11 +65,83 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL, ddot: int, ddot_ilp64: bool) -> None:
         self.lib = lib
-        self.grow_tree = lib.repro_grow_tree
         self.build_routes = lib.repro_build_routes
         self.traverse = lib.repro_traverse
         self.ddot = ddot
         self.ddot_ilp64 = ddot_ilp64
+
+    def grow_forest(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        n_trees: int,
+        bootstrap: bool,
+        rng: np.random.Generator,
+        m: int,
+        min_samples_leaf: int,
+        min_samples_split: int,
+        max_depth: "int | None",
+    ) -> "tuple[dict[str, np.ndarray], np.ndarray]":
+        """Grow ``n_trees`` presorted trees on ``(X, y)`` in one kernel call.
+
+        ``X`` must be a finite 2-D float64 matrix with at least one row and
+        ``y`` its finite float64 targets, as the forest and the tree check
+        before calling (finiteness is theirs to check; the shapes, dtypes
+        and ``min_samples_leaf``, which bound the kernel's reads, are
+        checked here too).  Each tree draws its bootstrap (when
+        ``bootstrap``) and its feature subsets from ``rng`` in the order a
+        Python loop over :class:`~repro.forest.tree.RegressionTree` fits
+        would.  Returns the packed node arrays by field name, child links
+        global, and the ``n_trees + 1`` offsets of the trees' roots.
+        """
+        if (X.ndim != 2 or X.dtype != np.float64 or y.dtype != np.float64
+                or y.shape != (len(X),) or not 0 < len(X) <= 2**32
+                or min_samples_leaf < 1):
+            raise ValueError(
+                "grow_forest needs a non-empty 2-D float64 X (at most 2**32 "
+                "rows), one float64 target per row and min_samples_leaf >= 1"
+            )
+        n, d = X.shape
+        XT = np.ascontiguousarray(X.T)
+        y = np.ascontiguousarray(y)
+        # Dense ranks per feature, so the kernel can presort every sample
+        # with a counting sort: equal values (-0.0 and 0.0 too) share one.
+        # Flat ids into XT stand in for take/put_along_axis, which cost
+        # more than the sort at these sizes.
+        flat = np.argsort(XT, axis=1)
+        flat += np.arange(0, d * n, n)[:, None]
+        sorted_values = XT.ravel()[flat]
+        dense = np.empty((d, n), dtype=np.intp)
+        dense[:, 0] = 0
+        np.not_equal(sorted_values[:, 1:], sorted_values[:, :-1], out=dense[:, 1:])
+        dense.cumsum(axis=1, out=dense)
+        rank = np.empty((d, n), dtype=np.intp)
+        rank.ravel()[flat] = dense
+
+        cap = n_trees * (2 * n - 1)  # a binary tree with at most n leaves
+        inodes = np.empty((4, cap), dtype=np.intp)
+        fnodes = np.empty((4, cap), dtype=np.float64)
+        offsets = np.empty(n_trees + 1, dtype=np.intp)
+        bitgen = rng.bit_generator
+        with bitgen.lock:  # the kernel draws from the generator's state
+            total = self.lib.repro_grow_forest(
+                XT.ctypes.data, y.ctypes.data, rank.ctypes.data,
+                n, d, m, min_samples_leaf, min_samples_split,
+                -1 if max_depth is None else max_depth,
+                n_trees, bootstrap, bitgen.ctypes.bit_generator,
+                self.ddot, self.ddot_ilp64,
+                inodes.ctypes.data, fnodes.ctypes.data, cap,
+                offsets.ctypes.data,
+            )
+        if total < 0:
+            raise MemoryError("forest-growth scratch allocation failed")
+        feature, left, right, count = inodes[:, :total].copy()
+        threshold, value, variance, impurity = fnodes[:, :total].copy()
+        arrays = dict(
+            feature=feature, threshold=threshold, left=left, right=right,
+            value=value, variance=variance, count=count, impurity=impurity,
+        )
+        return arrays, offsets
 
     def tree_mean_std(
         self, P: np.ndarray, cols: "np.ndarray | None" = None, std: bool = True
@@ -133,26 +207,36 @@ class Kernel:
         )
         return out[:m]
 
+    def bootstrap(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        out = np.empty(n, dtype=np.intp)
+        self.lib.repro_bootstrap(
+            rng.bit_generator.ctypes.bit_generator, n, out.ctypes.data
+        )
+        return out
+
 
 def _configure(lib: ctypes.CDLL) -> None:
     ip = ctypes.c_int64
-    lib.repro_grow_tree.restype = ctypes.c_int64
-    lib.repro_grow_tree.argtypes = [
+    lib.repro_grow_forest.restype = ip
+    lib.repro_grow_forest.argtypes = [
         ctypes.c_void_p,  # XT
         ctypes.c_void_p,  # y
-        ctypes.c_void_p,  # order
+        ctypes.c_void_p,  # rank
         ip,               # n
         ip,               # d
         ip,               # m
         ip,               # min_samples_leaf
         ip,               # min_samples_split
         ip,               # max_depth (-1: none)
+        ip,               # n_trees
+        ip,               # bootstrap
         ctypes.c_void_p,  # bitgen
         ctypes.c_void_p,  # ddot
         ip,               # ddot_ilp64
         ctypes.c_void_p,  # inodes
         ctypes.c_void_p,  # fnodes
         ip,               # cap
+        ctypes.c_void_p,  # offsets
     ]
     lib.repro_build_routes.restype = ip
     lib.repro_build_routes.argtypes = [
@@ -194,6 +278,8 @@ def _configure(lib: ctypes.CDLL) -> None:
     lib.repro_choice.argtypes = [
         ctypes.c_void_p, ip, ip, ctypes.c_void_p, ctypes.c_void_p,
     ]
+    lib.repro_bootstrap.restype = None
+    lib.repro_bootstrap.argtypes = [ctypes.c_void_p, ip, ctypes.c_void_p]
 
 
 def _resolve_ddot() -> "tuple[int, bool] | None":
@@ -253,14 +339,15 @@ def _probe_tree_mean_std(kernel: Kernel) -> bool:
 
 
 def _probe(kernel: Kernel) -> bool:
-    """Whether the kernel's sum, ddot, draw and reduction match numpy bit
+    """Whether the kernel's sum, ddot, draws and reduction match numpy bit
     for bit.
 
     The lengths cover every branch of the pairwise sum (below 8, the
     8-accumulator block, the recursive halving) and one array longer than
-    numpy's 8192-element reduction buffer; the draws cover Floyd's
-    algorithm and the tail shuffle, and must leave the two generators in
-    the same state.
+    numpy's 8192-element reduction buffer; the feature draws cover Floyd's
+    algorithm and the tail shuffle, the bootstrap draws a one-row sample
+    (no draw at all) up to one past 2**16 rows, and each kind must leave
+    the two generators in the same state.
     """
     a = np.random.default_rng(0x5EED).normal(size=9000)
     a[::7] *= 1e6  # mixed magnitudes, so association shows in the rounding
@@ -276,6 +363,14 @@ def _probe(kernel: Kernel) -> bool:
     for d, m in ((2, 1), (7, 2), (20, 13), (97, 30), (10050, 400)):
         drawn = kernel.choice(ours, d, m)
         if not np.array_equal(drawn, theirs.choice(d, size=m, replace=False)):
+            return False
+    if ours.bit_generator.state != theirs.bit_generator.state:
+        return False
+    ours = np.random.default_rng(11)
+    theirs = np.random.default_rng(11)
+    for n in (1, 2, 7, 60, 500, 70001):
+        drawn = kernel.bootstrap(ours, n)
+        if not np.array_equal(drawn, theirs.integers(0, n, size=n)):
             return False
     if ours.bit_generator.state != theirs.bit_generator.state:
         return False

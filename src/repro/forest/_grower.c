@@ -1,19 +1,24 @@
 /* Optional C hot path for presorted CART growth and packed inference.
  *
  * Compiled on demand by repro/forest/_cgrower.py (plain `cc -shared`, no
- * Python headers needed) and driven through ctypes.  repro_grow_tree grows
- * a whole tree in one call and must produce the same bits as the numpy
- * growers in repro/forest/tree.py: the same node arrays and the same RNG
+ * Python headers needed) and driven through ctypes.  repro_grow_forest
+ * grows all of a fit's trees in one call, bootstrap draws included, and
+ * writes them straight into the packed layout.  It must produce the same
+ * bits as the numpy growers in repro/forest/tree.py driven tree by tree
+ * from repro/forest/forest.py: the same node arrays and the same RNG
  * state afterwards.  It reproduces each numpy behaviour those growers
  * depend on, and _cgrower.load() checks the reproductions against numpy
  * before it hands the kernel out:
  *
+ *  - bootstrap draws replay Generator.integers(0, n, size=n), and feature
+ *    draws Generator.choice(d, size=m, replace=False), on the generator's
+ *    own bitgen_t;
+ *  - each feature's stable argsort of a sample is a counting sort over
+ *    dense ranks the caller computes once per fit;
  *  - node target sums are numpy's pairwise summation (np.add.reduce);
  *  - node sums of squares call the very cblas_ddot numpy's np.dot calls,
  *    passed in as a function pointer, because its rounding depends on the
  *    CPU kernel the BLAS picks;
- *  - feature draws replay Generator.choice(d, size=m, replace=False) on
- *    the generator's own bitgen_t;
  *  - prefix sums run left-to-right exactly like np.cumsum, the combined-SSE
  *    expression evaluates in the reference ufunc chain's operand order, and
  *    the build flags forbid FMA contraction (-ffp-contract=off);
@@ -328,40 +333,48 @@ typedef struct {
     ip node, start, k, depth;
 } frame;
 
+/* Scratch one repro_grow_forest call allocates once and every tree reuses.
+ * `inleft` and `seen` start zeroed, and grow_tree leaves them zeroed. */
+typedef struct {
+    double *ybuf;          /* n */
+    ip *tmp;               /* n */
+    frame *stack;          /* n */
+    ip *feats;             /* d + 1 */
+    unsigned char *inleft; /* n */
+    unsigned char *seen;   /* d + 1 */
+} scratch_t;
+
 /* Grow one presorted CART tree depth-first.
  *
- * `XT` is the (d, n) transposed training matrix and `y` its targets.
- * `order` holds d+1 rows of n sample ids: row f in ascending X[:, f]
+ * `XT` is the (d, n) transposed training sample and `y` its targets.
+ * `order` holds d+1 rows of n sample ids: row f in ascending XT[f]
  * order (stable), row d ascending.  Each node owns the same segment
  * [start, start+k) of every row, and a split partitions that segment in
  * place, stably, into [left | right], so the rows stay sorted within each
  * child.  `bg` is the tree's bit generator (used only when m < d).
  *
- * Node arrays go to two (4, cap) blocks, cap >= 2n-1: `inodes` rows are
- * feature, left, right, count and `fnodes` rows are threshold, value,
- * variance, impurity.  Node ids follow the reference grower: children get
- * the next two ids when their parent splits, and the right child is grown
- * first.  Returns the node count, or -1 if scratch allocation fails.
+ * Node arrays go to two (4, cap) blocks: `inodes` rows are feature,
+ * left, right, count and `fnodes` rows are threshold, value, variance,
+ * impurity.  The tree takes ids base, base+1, ... (at most 2n-1 of them)
+ * and its child links hold those global ids.  Local ids follow the
+ * reference grower: children get the next two ids when their parent
+ * splits, and the right child is grown first.  Returns the node count.
  */
-ip repro_grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
-                   ip m, ip msl, ip mss, ip max_depth, bitgen_t *bg,
-                   const void *ddot, ip ilp64, ip *inodes, double *fnodes,
-                   ip cap)
+static ip grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
+                    ip m, ip msl, ip mss, ip max_depth, bitgen_t *bg,
+                    const void *ddot, ip ilp64, ip *inodes, double *fnodes,
+                    ip cap, ip base, const scratch_t *sc)
 {
-    ip *feature = inodes, *left = inodes + cap, *right = inodes + 2 * cap;
-    ip *count = inodes + 3 * cap;
-    double *threshold = fnodes, *value = fnodes + cap;
-    double *variance = fnodes + 2 * cap, *impurity = fnodes + 3 * cap;
+    ip *feature = inodes + base, *left = inodes + cap + base;
+    ip *right = inodes + 2 * cap + base, *count = inodes + 3 * cap + base;
+    double *threshold = fnodes + base, *value = fnodes + cap + base;
+    double *variance = fnodes + 2 * cap + base;
+    double *impurity = fnodes + 3 * cap + base;
+    double *ybuf = sc->ybuf;
+    ip *tmp = sc->tmp, *feats = sc->feats;
+    frame *stack = sc->stack;
+    unsigned char *inleft = sc->inleft, *seen = sc->seen;
 
-    double *ybuf = malloc((size_t)n * sizeof(double));
-    ip *tmp = malloc((size_t)n * sizeof(ip));
-    frame *stack = malloc((size_t)n * sizeof(frame));
-    ip *feats = malloc(((size_t)d + 1) * sizeof(ip));
-    unsigned char *inleft = calloc((size_t)n, 1);
-    unsigned char *seen = calloc((size_t)d + 1, 1);
-    ip n_nodes = -1;
-    if (!ybuf || !tmp || !stack || !feats || !inleft || !seen)
-        goto done;
     if (m >= d) {
         m = d;
         for (ip f = 0; f < d; f++)
@@ -370,7 +383,7 @@ ip repro_grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
 
     feature[0] = left[0] = right[0] = -1;
     threshold[0] = 0.0;
-    n_nodes = 1;
+    ip n_nodes = 1;
     ip sp = 0;
     stack[sp++] = (frame){0, 0, n, 0};
     while (sp > 0) {
@@ -503,8 +516,8 @@ ip repro_grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
             feature[c] = left[c] = right[c] = -1;
             threshold[c] = 0.0;
         }
-        left[node] = li;
-        right[node] = li + 1;
+        left[node] = base + li;
+        right[node] = base + li + 1;
 
         for (ip r = 0; r <= d; r++) {
             ip *seg = order + r * n + start;
@@ -526,13 +539,111 @@ ip repro_grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
         stack[sp++] = (frame){li, start, n_left, fr.depth + 1};
         stack[sp++] = (frame){li + 1, start + n_left, k - n_left, fr.depth + 1};
     }
+    return n_nodes;
+}
+
+/* Generator.integers(0, n, size=n) into out[0..n): numpy's
+ * random_bounded_uint64_fill draws every entry with the Lemire routine
+ * `bounded` reproduces (so n <= 2**32, which _cgrower checks), and draws
+ * nothing when n == 1. */
+void repro_bootstrap(bitgen_t *bg, ip n, ip *out)
+{
+    for (ip j = 0; j < n; j++)
+        out[j] = bounded(bg, (uint64_t)(n - 1));
+}
+
+/* Grow n_trees presorted CART trees straight into the packed layout.
+ *
+ * `XT` is the (d, n) transposed training matrix, `y` its targets and
+ * `rank` the (d, n) dense ranks of each feature's values: equal values
+ * (-0.0 and 0.0 included) share a rank, and ranks lie in [0, n).  For
+ * each tree in turn:
+ *
+ *  - the sample idx is a bootstrap drawn on `bg` exactly as
+ *    Generator.integers(0, n, size=n) draws it, or 0..n-1 without
+ *    `bootstrap`;
+ *  - the sample's columns and targets are gathered;
+ *  - each feature's row of `order` is a counting sort of the sample
+ *    positions j by rank[f, idx[j]], visiting j in ascending order, so it
+ *    is stable and equals np.argsort(kind="stable") of the sample's
+ *    feature; row d holds 0..n-1;
+ *  - grow_tree grows the tree into ids [offsets[t], offsets[t+1]) of the
+ *    two (4, cap) node blocks, cap >= n_trees * (2n - 1).
+ *
+ * The generator sees the draws of a Python loop that draws one bootstrap
+ * and grows one tree at a time, in the same order.  `offsets` receives
+ * n_trees + 1 entries.  Returns the total node count, or -1 if scratch
+ * allocation fails.
+ */
+ip repro_grow_forest(const double *XT, const double *y, const ip *rank,
+                     ip n, ip d, ip m, ip msl, ip mss, ip max_depth,
+                     ip n_trees, ip bootstrap, bitgen_t *bg, const void *ddot,
+                     ip ilp64, ip *inodes, double *fnodes, ip cap,
+                     ip *offsets)
+{
+    const size_t nz = (size_t)n, dz = (size_t)d;
+    ip *idx = malloc(nz * sizeof(ip));
+    double *Xs = malloc((dz + 1) * nz * sizeof(double));
+    double *ys = malloc(nz * sizeof(double));
+    ip *order = malloc((dz + 1) * nz * sizeof(ip));
+    ip *first = malloc((nz + 1) * sizeof(ip));
+    const scratch_t sc = {
+        malloc(nz * sizeof(double)), malloc(nz * sizeof(ip)),
+        malloc(nz * sizeof(frame)), malloc((dz + 1) * sizeof(ip)),
+        calloc(nz, 1), calloc(dz + 1, 1),
+    };
+    ip total = -1;
+    if (!idx || !Xs || !ys || !order || !first || !sc.ybuf || !sc.tmp ||
+        !sc.stack || !sc.feats || !sc.inleft || !sc.seen)
+        goto done;
+
+    offsets[0] = 0;
+    for (ip t = 0; t < n_trees; t++) {
+        if (bootstrap)
+            repro_bootstrap(bg, n, idx);
+        else
+            for (ip j = 0; j < n; j++)
+                idx[j] = j;
+        for (ip f = 0; f < d; f++) {
+            const double *src = XT + f * n;
+            double *dst = Xs + f * n;
+            for (ip j = 0; j < n; j++)
+                dst[j] = src[idx[j]];
+        }
+        for (ip j = 0; j < n; j++)
+            ys[j] = y[idx[j]];
+
+        for (ip f = 0; f < d; f++) {
+            const ip *rf = rank + f * n;
+            ip *row = order + f * n;
+            memset(first, 0, (nz + 1) * sizeof(ip));
+            for (ip j = 0; j < n; j++)
+                first[rf[idx[j]] + 1]++;
+            for (ip r = 1; r <= n; r++)
+                first[r] += first[r - 1]; /* first[r]: positions ranked < r */
+            for (ip j = 0; j < n; j++)
+                row[first[rf[idx[j]]]++] = j;
+        }
+        for (ip j = 0; j < n; j++)
+            order[d * n + j] = j;
+
+        offsets[t + 1] = offsets[t] +
+            grow_tree(Xs, ys, order, n, d, m, msl, mss, max_depth, bg, ddot,
+                      ilp64, inodes, fnodes, cap, offsets[t], &sc);
+    }
+    total = offsets[n_trees];
 
 done:
-    free(ybuf);
-    free(tmp);
-    free(stack);
-    free(feats);
-    free(inleft);
-    free(seen);
-    return n_nodes;
+    free(idx);
+    free(Xs);
+    free(ys);
+    free(order);
+    free(first);
+    free(sc.ybuf);
+    free(sc.tmp);
+    free(sc.stack);
+    free(sc.feats);
+    free(sc.inleft);
+    free(sc.seen);
+    return total;
 }

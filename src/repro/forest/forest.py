@@ -6,6 +6,16 @@ uncertainty estimate used by every sampling strategy.  Also supports the
 "update partially" variant mentioned in Fig. 1 / Algorithm 1: instead of
 refitting all trees on the enlarged training set, refresh only a fraction.
 
+With the C kernel loaded, a fit grows every tree in one call, bootstrap
+draws included, straight into the packed node arrays
+(:meth:`~repro.forest._cgrower.Kernel.grow_forest`), and ``trees_`` is a
+read-only view sliced from them on first access; without it, or with
+``presort=False``, a Python loop fits one :class:`RegressionTree` per
+bootstrap sample and the packed form is built from those on first use.
+Both paths check the data and the tree hyper-parameters before changing
+any state or drawing from the generator, consume the generator
+identically and give the same node arrays.
+
 Inference goes through :class:`~repro.forest.packed.PackedForest`: the
 query matrix is validated once at the forest level and all trees are
 traversed in one call (the historical per-tree Python loop re-validated
@@ -26,7 +36,7 @@ import numpy as np
 
 from repro.forest import _cgrower
 from repro.forest.packed import PackedForest
-from repro.forest.tree import RegressionTree
+from repro.forest.tree import RegressionTree, check_training_data
 from repro.forest.uncertainty import across_tree_std, total_variance_std
 from repro.rng import as_generator
 from repro.telemetry import counters, span
@@ -77,8 +87,9 @@ class RandomForestRegressor:
     seed:
         Anything :func:`repro.rng.as_generator` accepts.
     presort:
-        Passed to each tree: grow with the presorted splitter (default) or
-        the per-node argsort reference path (trace-equivalent, slower).
+        Grow with the presorted splitter (default; the one-call C kernel
+        when it is loaded) or the per-node argsort reference path
+        (trace-equivalent, slower).
     """
 
     def __init__(
@@ -106,10 +117,15 @@ class RandomForestRegressor:
         self.uncertainty = uncertainty
         self.presort = presort
         self.rng = as_generator(seed)
-        self.trees_: list[RegressionTree] = []
+        #: Feature count of the training data; ``None`` until fitted.
+        self.n_features_: int | None = None
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
+        # The fitted ensemble: the packed form, per-tree objects, or both.
+        # The kernel grows the packed form and the numpy growers the trees;
+        # each side is derived from the other on first use.
         self._packed: PackedForest | None = None
+        self._trees: list[RegressionTree] | None = None
         # Monotone per-tree generation stamps: bumped on every (re)fit of a
         # tree, compared by the pool-score cache to find stale entries.
         self._generation = 0
@@ -117,8 +133,8 @@ class RandomForestRegressor:
         self._pool_cache: dict | None = None
 
     # -- fitting -----------------------------------------------------------
-    def _fit_one_tree(self, X: np.ndarray, y: np.ndarray) -> RegressionTree:
-        tree = RegressionTree(
+    def _new_tree(self) -> RegressionTree:
+        return RegressionTree(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
@@ -126,6 +142,9 @@ class RandomForestRegressor:
             rng=self.rng,
             presort=self.presort,
         )
+
+    def _fit_one_tree(self, X: np.ndarray, y: np.ndarray) -> RegressionTree:
+        tree = self._new_tree()
         if self.bootstrap:
             idx = self.rng.integers(0, len(X), size=len(X))
             tree.fit(X[idx], y[idx])
@@ -133,21 +152,43 @@ class RandomForestRegressor:
             tree.fit(X, y)
         return tree
 
+    def _grow(
+        self, X: np.ndarray, y: np.ndarray, n_trees: int, m: int
+    ) -> "PackedForest | list[RegressionTree]":
+        """Grow ``n_trees`` trees on validated data, drawing from ``rng``.
+
+        The C kernel grows them all in one call and returns the packed
+        form; without it, or with ``presort=False``, a Python loop fits one
+        :class:`RegressionTree` at a time.  Both consume the generator
+        identically and give the same node arrays.
+        """
+        kernel = _cgrower.load() if self.presort else None
+        if kernel is None:
+            return [self._fit_one_tree(X, y) for _ in range(n_trees)]
+        arrays, offsets = kernel.grow_forest(
+            X, y, n_trees, self.bootstrap, self.rng, m,
+            self.min_samples_leaf, self.min_samples_split, self.max_depth,
+        )
+        return PackedForest(**arrays, offsets=offsets, n_features=X.shape[1])
+
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
-        """Fit all trees from scratch on ``(X, y)``."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-        self._X, self._y = X.copy(), y.copy()
+        """Fit all trees from scratch on ``(X, y)``.
+
+        The data and the tree hyper-parameters are checked before anything
+        changes: a rejected fit leaves the forest, its training data and
+        its generator as they were.
+        """
+        X, y = check_training_data(X, y)
+        m = self._new_tree()._n_split_features(X.shape[1])
         with span("forest.fit", trees=self.n_estimators, n_train=len(y)):
-            self.trees_ = [
-                self._fit_one_tree(X, y) for _ in range(self.n_estimators)
-            ]
+            grown = self._grow(X, y, self.n_estimators, m)
         counters.inc("forest.trees_fit", self.n_estimators)
-        self._packed = None
+        self._X, self._y = X.copy(), y.copy()
+        self.n_features_ = X.shape[1]
+        if isinstance(grown, PackedForest):
+            self._packed, self._trees = grown, None
+        else:
+            self._packed, self._trees = None, grown
         self._generation += 1
         self._tree_gens[:] = self._generation
         return self
@@ -162,7 +203,8 @@ class RandomForestRegressor:
         scratch"); smaller fractions implement the "update it partially"
         variant: a random subset of trees is refit on the new training set,
         the others keep their (stale) structure.  At least one tree is always
-        refreshed so new data is never silently dropped.
+        refreshed so new data is never silently dropped.  As with
+        :meth:`fit`, a rejected update changes nothing.
         """
         if self._X is None or self._y is None:
             return self.fit(X_new, y_new)
@@ -172,32 +214,52 @@ class RandomForestRegressor:
         y_new = np.atleast_1d(np.asarray(y_new, dtype=np.float64))
         if len(X_new) != len(y_new):
             raise ValueError(f"X_new has {len(X_new)} rows but y_new has {len(y_new)}")
-        self._X = np.vstack([self._X, X_new])
-        self._y = np.concatenate([self._y, y_new])
+        X, y = check_training_data(
+            np.vstack([self._X, X_new]), np.concatenate([self._y, y_new])
+        )
+        m = self._new_tree()._n_split_features(X.shape[1])
         n_refresh = max(1, int(round(refresh_fraction * self.n_estimators)))
         which = self.rng.choice(self.n_estimators, size=n_refresh, replace=False)
-        with span("forest.update", refreshed=n_refresh, n_train=len(self._y)):
-            for t in which:
-                self.trees_[t] = self._fit_one_tree(self._X, self._y)
+        with span("forest.update", refreshed=n_refresh, n_train=len(y)):
+            grown = self._grow(X, y, n_refresh, m)
+            if isinstance(grown, PackedForest):
+                grown = grown.to_trees()
+            trees = list(self.trees_)
+            for t, tree in zip(which, grown):
+                trees[t] = tree
         counters.inc("forest.trees_fit", n_refresh)
-        self._packed = None
+        self._X, self._y = X, y
+        self._packed, self._trees = None, trees
         self._generation += 1
         self._tree_gens[which] = self._generation
         return self
 
     # -- inference ------------------------------------------------------------
+    @property
+    def trees_(self) -> list[RegressionTree]:
+        """The fitted trees (empty before the first fit), read-only.
+
+        Sliced out of the packed form on first access after a kernel fit
+        or a load; those trees carry node arrays only.
+        """
+        if self._trees is None:
+            if self._packed is None:
+                return []
+            self._trees = self._packed.to_trees()
+        return self._trees
+
     def _require_fitted(self) -> None:
-        if not self.trees_:
+        if self.n_features_ is None:
             raise RuntimeError("forest is not fitted; call fit() first")
 
     def _check_query(self, X: np.ndarray) -> np.ndarray:
         """Validate/convert a query matrix once for the whole ensemble."""
         self._require_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        n_features = self.trees_[0].n_features_
-        if X.shape[1] != n_features:
+        if X.shape[1] != self.n_features_:
             raise ValueError(
-                f"query has {X.shape[1]} features, forest was fit on {n_features}"
+                f"query has {X.shape[1]} features, forest was fit on "
+                f"{self.n_features_}"
             )
         return X
 
@@ -205,7 +267,7 @@ class RandomForestRegressor:
         """The ensemble's packed SoA form, rebuilt lazily after (re)fits."""
         self._require_fitted()
         if self._packed is None:
-            self._packed = PackedForest.from_trees(self.trees_)
+            self._packed = PackedForest.from_trees(self._trees)
         return self._packed
 
     def per_tree_predictions(self, X: np.ndarray) -> np.ndarray:
@@ -326,5 +388,5 @@ class RandomForestRegressor:
         return self._y
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"{len(self.trees_)} trees" if self.trees_ else "unfitted"
+        state = "unfitted" if self.n_features_ is None else f"{self.n_estimators} trees"
         return f"RandomForestRegressor({state}, n={self.n_training_samples})"

@@ -7,10 +7,10 @@ survive a round trip to disk.
 
 Format version 2 stores the ensemble in its packed SoA form
 (:class:`~repro.forest.packed.PackedForest`): eight concatenated node
-arrays plus the per-tree offsets vector.  Loading re-slices the per-tree
-views lazily and hands the packed form straight to the forest, so a
-loaded model predicts without ever rebuilding it.  Any other version is
-rejected.
+arrays plus the per-tree offsets vector.  Loading hands the packed form
+and its feature count straight to the forest, so a loaded model predicts
+without rebuilding anything; per-tree objects are sliced out only if
+something reads ``trees_``.  Any other version is rejected.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def forest_payload(model: RandomForestRegressor) -> dict[str, np.ndarray]:
     adapter (:mod:`repro.surrogate`), whose envelopes embed the same
     arrays.
     """
-    if not model.trees_:
+    if model.n_features_ is None:
         raise ValueError("cannot save an unfitted forest")
     packed = model.packed()
     payload: dict[str, np.ndarray] = {
@@ -74,8 +74,8 @@ def forest_from_payload(data) -> RandomForestRegressor:
     model = RandomForestRegressor(
         n_estimators=packed.n_trees, uncertainty=uncertainty
     )
-    model.trees_ = packed.to_trees()
     model._packed = packed
+    model.n_features_ = packed.n_features
     return model
 
 

@@ -6,12 +6,14 @@ through the tree simultaneously, one level per vectorised step.
 
 Growth comes in two trace-equivalent flavours selected by ``presort``:
 
-* ``presort=True`` (default) argsorts each feature of the training sample
+* ``presort=True`` (default) sorts each feature of the training sample
   *once per tree* and maintains per-feature sorted index rows through
   stable partitioning at every split, so each node pays only a gather and
-  a prefix-sum sweep.  The whole tree grows in one call to the C kernel
-  (:mod:`repro.forest._cgrower`) when it is available, and in a fused
-  numpy loop otherwise.
+  a prefix-sum sweep.  With the C kernel (:mod:`repro.forest._cgrower`)
+  the tree grows as a one-tree forest in one call, which sorts by a
+  counting sort over dense ranks; otherwise a fused numpy loop grows it
+  from one stable argsort per feature.  A forest grows all of its trees
+  in one such call (:mod:`repro.forest.forest`).
 * ``presort=False`` is the reference grower: a fresh ``(n, m)`` argsort per
   node (:func:`~repro.forest.splitter.best_split`).
 
@@ -25,11 +27,31 @@ from __future__ import annotations
 import numpy as np
 
 from repro.forest import _cgrower
+from repro.forest.packed import FIELDS
 from repro.forest.splitter import best_split
 
 __all__ = ["RegressionTree"]
 
 _LEAF = -1
+
+
+def check_training_data(X, y) -> "tuple[np.ndarray, np.ndarray]":
+    """``(X, y)`` as float64 arrays, or ``ValueError`` if a tree cannot be
+    grown on them: ``X`` must be 2-D, ``y`` 1-D with one target per row,
+    with at least one row, and every value finite."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {X.shape}")
+    if y.ndim != 1:
+        raise ValueError(f"y must be 1-D, got shape {y.shape}")
+    if len(X) != len(y):
+        raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
+    if len(X) == 0:
+        raise ValueError("cannot fit a tree on zero samples")
+    if not np.isfinite(X).all() or not np.isfinite(y).all():
+        raise ValueError("X and y must be finite")
+    return X, y
 
 
 class RegressionTree:
@@ -103,24 +125,12 @@ class RegressionTree:
     # -- fitting -------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
         """Grow the tree on ``(X, y)``; returns ``self``."""
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        if y.ndim != 1:
-            raise ValueError(f"y must be 1-D, got shape {y.shape}")
-        if len(X) != len(y):
-            raise ValueError(f"X has {len(X)} rows but y has {len(y)}")
-        if len(X) == 0:
-            raise ValueError("cannot fit a tree on zero samples")
-        if not np.isfinite(X).all() or not np.isfinite(y).all():
-            raise ValueError("X and y must be finite")
-
+        X, y = check_training_data(X, y)
         n, d = X.shape
         m = self._n_split_features(d)
         kernel = _cgrower.load() if self.presort else None
         if kernel is not None:
-            nodes = self._grow_presorted_c(kernel, X, y, n, d, m)
+            nodes = self._grow_presorted_c(kernel, X, y, m)
         else:
             nodes = self._grow_lists(X, y, n, d, m)
         self.n_features_ = d
@@ -137,43 +147,18 @@ class RegressionTree:
         self._fitted = True
         return self
 
-    def _grow_presorted_c(self, kernel, X, y, n, d, m) -> tuple:
+    def _grow_presorted_c(self, kernel, X, y, m) -> tuple:
         """Presorted growth of the whole tree in one C kernel call.
 
-        Python keeps only the per-tree set-up: the transposed sample, one
-        stable argsort per feature (plus the ascending-id row), the node
-        buffers, and the generator's ``bitgen_t``.  The kernel
-        (``_grower.c``) runs the depth-first growth, reproducing the numpy
-        behaviours the reference depends on; :func:`_cgrower.load` has
-        checked them against numpy, so the node arrays and the RNG state
-        afterwards are bit-identical to the numpy growers'.
+        The kernel grows a one-tree forest without a bootstrap
+        (:meth:`_cgrower.Kernel.grow_forest`); with a single tree at base
+        id 0 the packed child links are the tree's own.
         """
-        XT = np.ascontiguousarray(X.T)
-        y = np.ascontiguousarray(y)
-        order = np.concatenate(
-            [
-                np.argsort(XT, axis=1, kind="stable"),
-                np.arange(n, dtype=np.intp)[None, :],
-            ]
+        arrays, _ = kernel.grow_forest(
+            X, y, 1, False, self.rng, m, self.min_samples_leaf,
+            self.min_samples_split, self.max_depth,
         )
-        cap = 2 * n - 1  # a binary tree with at most n leaves
-        inodes = np.empty((4, cap), dtype=np.intp)
-        fnodes = np.empty((4, cap), dtype=np.float64)
-        max_depth = -1 if self.max_depth is None else self.max_depth
-        bitgen = self.rng.bit_generator
-        with bitgen.lock:  # the kernel draws from the generator's state
-            n_nodes = kernel.grow_tree(
-                XT.ctypes.data, y.ctypes.data, order.ctypes.data,
-                n, d, m, self.min_samples_leaf, self.min_samples_split,
-                max_depth, bitgen.ctypes.bit_generator,
-                kernel.ddot, kernel.ddot_ilp64,
-                inodes.ctypes.data, fnodes.ctypes.data, cap,
-            )
-        if n_nodes < 0:
-            raise MemoryError("tree-growth scratch allocation failed")
-        feature, left, right, count = inodes[:, :n_nodes].copy()
-        threshold, value, variance, impurity = fnodes[:, :n_nodes].copy()
-        return feature, threshold, left, right, value, variance, count, impurity
+        return tuple(arrays[name] for name in FIELDS)
 
     def _grow_lists(self, X, y, n, d, m) -> tuple:
         """Grow with a Python-driven loop into growable node lists.

@@ -32,6 +32,38 @@ def kernel_mode(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(scope="session")
+def unreadable_member_envelopes(tmp_path_factory) -> dict:
+    """A saved forest surrogate whose first archive member ``zipfile``
+    refuses to open, by name: one flagged as encrypted (general-purpose
+    flag bit 0) and one with an unknown compression method (99).  Each
+    patches that member's central-directory entry only."""
+    from repro.forest import RandomForestRegressor
+    from repro.surrogate import save_surrogate
+    from repro.surrogate.adapters import ForestSurrogate
+
+    r = np.random.default_rng(0)
+    X, y = r.random((30, 3)), r.random(30)
+    root = tmp_path_factory.mktemp("unreadable-members")
+    clean = root / "clean.npz"
+    save_surrogate(
+        ForestSurrogate(RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)),
+        str(clean),
+    )
+    raw = clean.read_bytes()
+    entry = raw.index(b"PK\x01\x02")  # the first central-directory entry
+    paths = {}
+    for kind, offset, value in (
+        ("encrypted", 8, int.from_bytes(raw[entry + 8:entry + 10], "little") | 1),
+        ("unknown-method", 10, 99),
+    ):
+        patched = bytearray(raw)
+        patched[entry + offset:entry + offset + 2] = value.to_bytes(2, "little")
+        paths[kind] = root / f"{kind}.npz"
+        paths[kind].write_bytes(bytes(patched))
+    return paths
+
+
 @pytest.fixture
 def mixed_space() -> ParameterSpace:
     """A small space exercising every parameter kind."""

@@ -30,6 +30,83 @@ class TestValidation:
             RandomForestRegressor().fit(np.zeros(4), np.zeros(4))
 
 
+def _with_bad_value(X, y, where, value):
+    X, y = X.copy(), y.copy()
+    if where == "X":
+        X[7, 1] = value
+    else:
+        y[7] = value
+    return X, y
+
+
+class TestRejectedInputChangesNothing:
+    """fit() and update() check their data and the tree hyper-parameters
+    before touching the forest's state or drawing from its generator."""
+
+    @staticmethod
+    def _snapshot(rf, Q):
+        return (
+            rf.training_targets.copy(),
+            rf.predict_with_uncertainty(Q),
+            rf.rng.bit_generator.state,
+            rf.n_training_samples,
+        )
+
+    @staticmethod
+    def _assert_unchanged(rf, Q, before):
+        targets, (mu, sd), state, n = before
+        assert rf.training_targets.tobytes() == targets.tobytes()
+        mu_now, sd_now = rf.predict_with_uncertainty(Q)
+        assert mu_now.tobytes() == mu.tobytes() and sd_now.tobytes() == sd.tobytes()
+        assert rf.rng.bit_generator.state == state
+        assert rf.n_training_samples == n
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejected_fit(self, kernel_mode, regression_data, where, value):
+        X, y = regression_data
+        rf = RandomForestRegressor(n_estimators=6, seed=3).fit(X[:40], y[:40])
+        before = self._snapshot(rf, X[250:])
+        Xb, yb = _with_bad_value(X[40:80], y[40:80] * 100.0, where, value)
+        with pytest.raises(ValueError, match="finite"):
+            rf.fit(Xb, yb)
+        self._assert_unchanged(rf, X[250:], before)
+
+    @pytest.mark.parametrize("where", ["X", "y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejected_update(self, kernel_mode, regression_data, where, value):
+        X, y = regression_data
+        rf = RandomForestRegressor(n_estimators=6, seed=3).fit(X[:40], y[:40])
+        before = self._snapshot(rf, X[250:])
+        Xb, yb = _with_bad_value(X[40:50], y[40:50], where, value)
+        with pytest.raises(ValueError, match="finite"):
+            rf.update(Xb, yb, refresh_fraction=0.5)
+        self._assert_unchanged(rf, X[250:], before)
+
+    def test_rejected_hyper_parameters(self, kernel_mode, regression_data):
+        X, y = regression_data
+        rf = RandomForestRegressor(n_estimators=6, max_features=4, seed=3)
+        rf.fit(X[:40], y[:40])
+        before = self._snapshot(rf, X[250:])
+        with pytest.raises(ValueError, match="max_features=4 out of range"):
+            rf.fit(X[40:80, :3], y[40:80])
+        rf.min_samples_leaf = 0
+        with pytest.raises(ValueError, match="min_samples_leaf"):
+            rf.update(X[40:50], y[40:50])
+        self._assert_unchanged(rf, X[250:], before)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_non_finite_data_rejected_whatever_the_bootstrap(
+        self, kernel_mode, regression_data, seed
+    ):
+        """The check reads the whole training set, not the rows one
+        tree's bootstrap happened to draw."""
+        X, y = regression_data
+        Xb, yb = _with_bad_value(X[:12], y[:12], "X", np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            RandomForestRegressor(n_estimators=1, seed=seed).fit(Xb, yb)
+
+
 class TestFitPredict:
     def test_learns_signal(self, regression_data):
         X, y = regression_data

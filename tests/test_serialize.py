@@ -1,9 +1,16 @@
 """Tests for forest save/load."""
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.envelope import EnvelopeError
 from repro.forest import RandomForestRegressor, load_forest, save_forest
+from repro.forest.packed import FIELDS
+from repro.surrogate import load_surrogate
 
 
 @pytest.fixture
@@ -119,6 +126,17 @@ class TestTypedEnvelopeErrors:
         with pytest.raises(EnvelopeError, match="surrogate"):
             load_surrogate(str(path))
 
+    @pytest.mark.parametrize("kind", ["encrypted", "unknown-method"])
+    @pytest.mark.parametrize("loader", ["forest", "surrogate"])
+    def test_unreadable_archive_member(
+        self, unreadable_member_envelopes, kind, loader
+    ):
+        path = str(unreadable_member_envelopes[kind])
+        load = {"forest": load_forest, "surrogate": load_surrogate}[loader]
+        with pytest.raises(EnvelopeError, match="unreadable archive member") as err:
+            load(path)
+        assert path in str(err.value)
+
     def test_envelope_error_is_a_value_error(self):
         from repro.envelope import EnvelopeError
 
@@ -173,3 +191,108 @@ class TestCorruptNodeArrays:
         with pytest.raises(EnvelopeError) as err:
             load(str(path))
         assert str(path) in str(err.value)
+
+
+def _saved_forest() -> bytes:
+    r = np.random.default_rng(5)
+    X = np.round(r.random((40, 4)), 2)
+    forest = RandomForestRegressor(n_estimators=4, seed=5).fit(X, r.random(40))
+    buf = io.BytesIO()
+    save_forest(forest, buf)
+    return buf.getvalue()
+
+
+_SAVED = _saved_forest()
+with np.load(io.BytesIO(_SAVED)) as _data:
+    _PAYLOAD = {key: _data[key] for key in _data.files}
+_N_NODES = len(_PAYLOAD["packed_feature"])
+
+#: Entries a mutation writes into an array: ids at and around every
+#: boundary a traversal relies on, huge and negative ids, and non-finite
+#: floats.
+_ODD_VALUES = st.sampled_from(
+    [0, 1, -1, -2, 2, 3, _N_NODES - 1, _N_NODES, _N_NODES + 1, 10**9, -(10**9),
+     0.5, np.nan, np.inf, -np.inf]
+)
+
+
+def _load_or_predict(blob: bytes) -> None:
+    """Every loader either refuses ``blob`` with EnvelopeError or returns
+    a model that predicts on a query with its own feature count."""
+    for load in (load_forest, load_surrogate):
+        try:
+            # A mutated float array cast to node ids may hold NaN.
+            with np.errstate(invalid="ignore"):
+                model = load(io.BytesIO(blob))
+        except EnvelopeError as exc:
+            assert "<in-memory bytes>: cannot load as" in str(exc)
+            continue
+        forest = getattr(model, "forest", model)
+        Q = np.random.default_rng(0).random((9, forest.n_features_))
+        mu = model.predict(Q)
+        mu_u, sd = model.predict_with_uncertainty(Q)
+        assert mu.shape == mu_u.shape == sd.shape == (9,)
+
+
+@st.composite
+def _mutated_archives(draw) -> bytes:
+    """A saved forest with its node arrays, offsets or feature count
+    changed inside an otherwise valid archive."""
+    payload = {key: arr.copy() for key, arr in _PAYLOAD.items()}
+    keys = [f"packed_{name}" for name in FIELDS] + ["offsets", "n_features"]
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(keys))
+        arr = payload[key]
+        how = draw(st.sampled_from(["set", "truncate", "reshape", "float"]))
+        if key == "n_features":
+            payload[key] = np.asarray(draw(st.integers(-1, 12)))
+        elif how == "set" and arr.size:
+            i = draw(st.integers(0, arr.size - 1))
+            value = draw(_ODD_VALUES)
+            if arr.dtype.kind in "iu" and not np.isfinite(value):
+                value = -1
+            arr.reshape(-1)[i] = value
+        elif how == "truncate":
+            payload[key] = arr.reshape(-1)[: draw(st.integers(0, arr.size))]
+        elif how == "reshape" and arr.size % 2 == 0:
+            payload[key] = arr.reshape(2, -1)
+        elif how == "float":
+            payload[key] = arr.astype(np.float64) + 0.25
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **payload)
+    return buf.getvalue()
+
+
+class TestEnvelopeBytesProperty:
+    """Malformed forest envelopes, whether the bytes or the arrays inside
+    are damaged, load as EnvelopeError or as a model that predicts —
+    never as another exception or a crash, in either kernel mode."""
+
+    @given(
+        cut=st.integers(0, len(_SAVED)),
+        flips=st.lists(
+            st.tuples(st.integers(0, len(_SAVED) - 1), st.integers(0, 7)),
+            min_size=1,
+            max_size=3,
+        ),
+        truncate=st.booleans(),
+    )
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_damaged_bytes(self, kernel_mode, cut, flips, truncate):
+        blob = bytearray(_SAVED)
+        for pos, bit in flips:
+            blob[pos] ^= 1 << bit
+        _load_or_predict(bytes(blob[:cut] if truncate else blob))
+
+    @given(blob=_mutated_archives())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_mutated_arrays(self, kernel_mode, blob):
+        _load_or_predict(blob)

@@ -811,6 +811,19 @@ class TestDistilledWorkloadSessions:
         assert data["error"]["code"] == "unknown_workload"
         assert "cannot load" in data["error"]["message"]
 
+    @pytest.mark.parametrize("kind", ["encrypted", "unknown-method"])
+    def test_unreadable_archive_member_is_a_400(
+        self, tmp_path, unreadable_member_envelopes, kind
+    ):
+        path = unreadable_member_envelopes[kind]
+        driver = AppDriver(tmp_path)
+        status, data = driver.call(
+            "POST", "/v1/sessions", {"benchmark": f"surrogate:{path}"}
+        )
+        assert status == 400
+        assert data["error"]["code"] == "unknown_workload"
+        assert "cannot load" in data["error"]["message"]
+
     def test_unknown_name_includes_did_you_mean(self, tmp_path):
         driver = AppDriver(tmp_path)
         status, data = driver.call("POST", "/v1/sessions", {"benchmark": "attax"})

@@ -92,6 +92,54 @@ def _assert_same_growth(X, y, seed, **params):
     assert ra.bit_generator.state == rb.bit_generator.state
 
 
+def _assert_same_packed(a, b, context) -> None:
+    assert a.offsets.tobytes() == b.offsets.tobytes(), context
+    for name, arr in a.arrays().items():
+        other = getattr(b, name)
+        assert arr.dtype == other.dtype, (name, context)
+        assert arr.tobytes() == other.tobytes(), (name, context)
+
+
+_SIZES = (1, 2, 3, 5, 10, 37, 60, 150)
+
+
+def _random_forest_case(r):
+    """Training data and forest settings for one whole-forest identity
+    case: sample sizes from a single row up, 1 to 11 features mixing
+    continuous, tied, constant, few-level and signed-zero columns, with
+    and without bootstrap, and every form ``max_features`` takes."""
+    n = int(r.choice(_SIZES))
+    d = int(r.integers(1, 12))
+    X = r.normal(size=(n, d)) * 10.0 ** int(r.integers(-3, 4))
+    for f in range(d):
+        kind = int(r.integers(5))
+        if kind == 1:
+            X[:, f] = np.round(X[:, f], 1)
+        elif kind == 2:
+            X[:, f] = 1.25
+        elif kind == 3:
+            X[:, f] = r.integers(0, 3, size=n)
+        elif kind == 4:
+            X[:, f] = r.choice([-0.0, 0.0, 1.0], size=n)
+    y = r.normal(size=n) * 10.0 ** int(r.integers(-2, 3))
+    if r.random() < 0.2:
+        y = np.round(y)
+    max_features = [
+        None, "all", "sqrt", "third",
+        int(r.integers(1, d + 1)), float(r.uniform(0.05, 1.0)),
+    ][int(r.integers(6))]
+    params = dict(
+        n_estimators=int(r.integers(1, 7)),
+        bootstrap=bool(r.random() < 0.8),
+        max_features=max_features,
+        min_samples_leaf=int(r.integers(1, 4)),
+        min_samples_split=int(r.integers(2, 7)),
+        max_depth=None if r.random() < 0.6 else int(r.integers(1, 7)),
+        seed=int(r.integers(2**31)),
+    )
+    return X, y, params
+
+
 #: Shapes and settings at the grower's edges: tiny samples with a single
 #: feature, the forest's min_samples_leaf=1, split and depth limits, and
 #: bootstrap-duplicated rows with a fractional max_features.
@@ -139,6 +187,28 @@ class TestTreeGrowth:
         X, y = _random_problem(4)
         _assert_same_growth(X, y, 4, max_features="third")
 
+    def test_bootstrap_probe_mismatch_falls_back_to_numpy(self, monkeypatch):
+        """A kernel whose bootstrap draw is off by one is never used, and a
+        forest fit then matches the reference."""
+        if _cgrower.load() is None:
+            pytest.skip("C kernel unavailable in this environment")
+        draw = _cgrower.Kernel.bootstrap
+
+        def off_by_one(self, rng, n):
+            idx = draw(self, rng, n)
+            idx[-1] = (idx[-1] + 1) % n
+            return idx
+
+        monkeypatch.setattr(_cgrower.Kernel, "bootstrap", off_by_one)
+        monkeypatch.setattr(_cgrower, "_lib", None)
+        monkeypatch.setattr(_cgrower, "_attempted", False)
+        assert _cgrower.load() is None
+        X, y = _random_problem(12)
+        ref = _ReferenceForest(n_estimators=5, seed=8).fit(X, y)
+        fast = RandomForestRegressor(n_estimators=5, seed=8).fit(X, y)
+        assert ref.rng.bit_generator.state == fast.rng.bit_generator.state
+        _assert_same_packed(ref.packed(), fast.packed(), None)
+
     def test_reduction_probe_mismatch_falls_back_to_numpy(self, monkeypatch):
         """A kernel whose across-tree reduction disagrees with numpy's mean
         or std, by one ulp in one column, is never used for anything."""
@@ -166,6 +236,34 @@ class TestTreeGrowth:
         mu_f, sd_f = fast.predict_with_uncertainty_pool(pool, rows)
         assert mu_r.tobytes() == mu_f.tobytes() and sd_r.tobytes() == sd_f.tobytes()
         assert fast.predict_pool(pool, rows).tobytes() == mu_r.tobytes()
+
+    def test_whole_forest_growth_bit_identical(self, monkeypatch):
+        """The one-call C forest grower against the numpy growers over 520
+        random forests: packed node arrays, offsets and generator state
+        after fit() and again after a partial update()."""
+        if _cgrower.load() is None:
+            pytest.skip("C kernel unavailable in this environment")
+        r = np.random.default_rng(2024)
+        for _ in range(520):
+            X, y, params = _random_forest_case(r)
+            k = int(r.integers(1, 4))
+            Xn, yn = X[:k] + 0.5, y[:k] * 1.5
+            fraction = float(r.uniform(0.05, 1.0))
+            with monkeypatch.context() as m:
+                m.setattr(_cgrower, "_lib", None)
+                m.setattr(_cgrower, "_attempted", True)
+                ref = RandomForestRegressor(**params).fit(X, y)
+                ref_packed = ref.packed()
+                ref_state = ref.rng.bit_generator.state
+                ref.update(Xn, yn, refresh_fraction=fraction)
+                ref_updated = ref.packed()
+            fast = RandomForestRegressor(**params).fit(X, y)
+            _assert_same_packed(ref_packed, fast.packed(), params)
+            assert ref_packed.n_features == fast.n_features_
+            assert ref_state == fast.rng.bit_generator.state
+            fast.update(Xn, yn, refresh_fraction=fraction)
+            _assert_same_packed(ref_updated, fast.packed(), params)
+            assert ref.rng.bit_generator.state == fast.rng.bit_generator.state
 
     def test_forest_growth_consumes_rng_identically(self, kernel_mode):
         X, y = _random_problem(3)
