@@ -18,9 +18,16 @@ pool, 30 trees — Section III-D) and writes the results to
   refreshed trees.
 * ``combined_fit_plus_pool`` — one fit plus one cold pool scoring, the
   per-iteration cycle of Algorithm 1.
+* ``level_pool_scoring_n60`` / ``_n500`` — a level-coded pool like a
+  tuning pool (every feature takes 31 values), scored cold through the
+  pool scorer, which routes it through the pool's bitmap index with the C
+  kernel, against the same rows as a plain ``predict_with_uncertainty``
+  query (the per-row walk), at the campaign's and the paper's training
+  sizes.
 
 A paper-scale run fails (exit 1) when the combined cycle, the fit or the
-pool scoring is less than 3x faster than its reference.
+pool scoring is less than 3x faster than its reference, or the level-coded
+pool scoring less than 1.3x faster than the walk.
 
 Every optimised path is bit-identical to its reference (enforced by
 ``tests/test_trace_equivalence.py``), so these numbers are pure speed.
@@ -42,12 +49,23 @@ import numpy as np
 
 from repro.forest import RandomForestRegressor, _cgrower
 from repro.forest.uncertainty import across_tree_std
+from repro.space import DataPool
 
 PAPER_SCALE = dict(n_train=500, n_pool=7000, n_features=7, n_trees=30, repeats=5)
 QUICK_SCALE = dict(n_train=150, n_pool=1200, n_features=7, n_trees=10, repeats=2)
 
-#: Speedup floors a paper-scale run asserts for the two layers.
-LAYER_FLOORS = {"fit": 3.0, "pool_scoring": 3.0}
+#: Values each feature of the level-coded pool takes (SPAPT's largest).
+LEVELS = 31
+#: Training sizes the level-coded pool is scored at: the campaign's, the paper's.
+LEVEL_POOL_N_TRAIN = (60, 500)
+
+#: Speedup floors a paper-scale run asserts for the layers.
+LAYER_FLOORS = {
+    "fit": 3.0,
+    "pool_scoring": 3.0,
+    "level_pool_scoring_n60": 1.3,
+    "level_pool_scoring_n500": 1.3,
+}
 
 
 def best_of(fn, repeats: int, warmup: int = 1) -> float:
@@ -112,9 +130,11 @@ def bench(scale) -> dict:
         P = np.stack([tree.predict(pool_X) for tree in model.trees_], axis=0)
         return P.mean(axis=0), across_tree_std(P)
 
+    pool = DataPool(pool_X)  # continuous: no bitmap index, rows are walked
+
     def score_packed_cold():
         model._pool_cache = None  # force a full packed traversal
-        return model.predict_with_uncertainty_pool(pool_X, rows)
+        return model.predict_with_uncertainty_pool(pool, rows)
 
     t["pool_scoring_reference"], t["pool_scoring_packed"] = best_of_pair(
         score_reference, score_packed_cold, repeats
@@ -130,12 +150,35 @@ def bench(scale) -> dict:
         if clear_cache:
             model._pool_cache = None
         t0 = time.perf_counter()
-        model.predict_with_uncertainty_pool(pool_X, rows)
+        model.predict_with_uncertainty_pool(pool, rows)
         return time.perf_counter() - t0
 
-    model.predict_with_uncertainty_pool(pool_X, rows)  # warm the cache
+    model.predict_with_uncertainty_pool(pool, rows)  # warm the cache
     t["partial_rescore_cold"] = min(rescore(True) for _ in range(repeats + 1))
     t["partial_rescore_cached"] = min(rescore(False) for _ in range(repeats + 1))
+
+    # -- layer 4: a level-coded pool through its bitmap index -------------
+    level_speedups = {}
+    r = np.random.default_rng(17)
+    levels = np.arange(LEVELS, dtype=np.float64)
+    level_pool = DataPool(r.choice(levels, size=(scale["n_pool"], scale["n_features"])))
+    for n_train in LEVEL_POOL_N_TRAIN:
+        Xl = r.choice(levels, size=(n_train, scale["n_features"]))
+        yl = np.abs(r.normal(size=n_train)) + 0.1
+        level_model = _forest(scale, presort=True).fit(Xl, yl)
+
+        def score_bitmap_cold():
+            level_model._pool_cache = None
+            return level_model.predict_with_uncertainty_pool(level_pool, rows)
+
+        walk, bitmap = best_of_pair(
+            lambda: level_model.predict_with_uncertainty(level_pool.X),
+            score_bitmap_cold,
+            repeats,
+        )
+        t[f"level_pool_walk_n{n_train}"] = walk
+        t[f"level_pool_bitmap_n{n_train}"] = bitmap
+        level_speedups[f"level_pool_scoring_n{n_train}"] = walk / bitmap
 
     speedups = {
         "fit": t["fit_reference"] / t["fit_presorted"],
@@ -147,6 +190,7 @@ def bench(scale) -> dict:
             (t["fit_reference"] + t["pool_scoring_reference"])
             / (t["fit_presorted"] + t["pool_scoring_packed"])
         ),
+        **level_speedups,
     }
     return {
         "schema": "repro.bench_forest/v1",

@@ -14,12 +14,27 @@ internals to callers (the tuning service turns it into a clean 400).
 from __future__ import annotations
 
 import io
+import sys
 import zipfile
 import zlib
 
 import numpy as np
 
-__all__ = ["EnvelopeError", "read_npz_payload", "require_keys", "describe_file"]
+__all__ = [
+    "EnvelopeError",
+    "read_npz_payload",
+    "require_keys",
+    "describe_file",
+    "is_finite_number",
+]
+
+
+def is_finite_number(value) -> bool:
+    """Whether a value parsed from an envelope's JSON is a finite number:
+    an int or float, not a bool, compared with the float range without
+    converting it (so NaN, infinities and ints past it fail)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
 
 
 class EnvelopeError(ValueError):

@@ -10,10 +10,11 @@ through the very ``cblas_ddot`` numpy calls (resolved here from numpy's
 own extension module), and, on the generator's ``bitgen_t``,
 ``Generator.integers(0, n, size=n)`` (the bootstrap) and
 ``Generator.choice(d, size=m, replace=False)`` (the feature draws).  It
-also routes query rows through a packed forest and reduces per-tree
-predictions to their across-tree mean and std, a fifth reproduction of
-numpy (its axis-0 ``mean`` and ``std``).  :func:`load` checks all five
-against numpy on throwaway generators before handing the kernel out.
+also routes query rows through a packed forest (pool rows through their
+bitmap index too) and reduces per-tree predictions to their across-tree
+mean and std, a fifth reproduction of numpy (its axis-0 ``mean`` and
+``std``).  :func:`load` checks all five against numpy on throwaway
+generators before handing the kernel out.
 
 Everything is best-effort: a missing compiler, a failed build, unwritable
 build directories, an unresolvable ``ddot``, a failed check, or the
@@ -67,6 +68,7 @@ class Kernel:
         self.lib = lib
         self.build_routes = lib.repro_build_routes
         self.traverse = lib.repro_traverse
+        self.traverse_pool = lib.repro_traverse_pool
         self.ddot = ddot
         self.ddot_ilp64 = ddot_ilp64
 
@@ -257,6 +259,21 @@ def _configure(lib: ctypes.CDLL) -> None:
         ctypes.c_void_p,  # X
         ip,               # n_rows
         ip,               # d
+        ctypes.c_void_p,  # payload (NULL: leaf ids)
+        ctypes.c_void_p,  # out
+    ]
+    lib.repro_traverse_pool.restype = ip
+    lib.repro_traverse_pool.argtypes = [
+        ctypes.c_void_p,  # table
+        ctypes.c_void_p,  # offsets
+        ctypes.c_void_p,  # tree_ids
+        ip,               # T
+        ctypes.c_void_p,  # X
+        ip,               # n_rows
+        ip,               # d
+        ctypes.c_void_p,  # levels
+        ctypes.c_void_p,  # starts
+        ctypes.c_void_p,  # bits
         ctypes.c_void_p,  # payload (NULL: leaf ids)
         ctypes.c_void_p,  # out
     ]

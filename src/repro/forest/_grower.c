@@ -30,10 +30,10 @@
  *    compiler cannot fold it into a multiplication.
  *
  * It also routes query rows through a packed forest (repro_traverse, over
- * the routing table repro_build_routes fills) and reduces per-tree
- * predictions to their across-tree mean and std the way numpy's axis-0
- * reductions do (repro_tree_mean_std), which the load-time check covers
- * too.
+ * the routing table repro_build_routes fills; repro_traverse_pool for a
+ * pool with a bitmap index) and reduces per-tree predictions to their
+ * across-tree mean and std the way numpy's axis-0 reductions do
+ * (repro_tree_mean_std), which the load-time check covers too.
  */
 
 #include <math.h>
@@ -109,16 +109,13 @@ ip repro_build_routes(const ip *feature, const double *threshold,
     return 0;
 }
 
-/* Route rows [i0, i0+m) of X from `root` for `steps` levels into node[]. */
-static inline void route_block(const route_t *table, const double *X, ip d,
-                               ip i0, int m, int32_t root, int32_t steps,
+/* Route the m rows row[0..m) from `root` for `steps` levels into node[]. */
+static inline void route_block(const route_t *table, const double *const *row,
+                               int m, int32_t root, int32_t steps,
                                int32_t *node)
 {
-    const double *row[BLOCK];
-    for (int k = 0; k < m; k++) {
-        row[k] = X + (i0 + k) * d;
+    for (int k = 0; k < m; k++)
         node[k] = root;
-    }
     for (int32_t s = 0; s < steps; s++)
         for (int k = 0; k < m; k++) {
             const route_t *r = table + node[k];
@@ -140,16 +137,19 @@ void repro_traverse(const route_t *table, const ip *offsets,
                     const ip *tree_ids, ip T, const double *X, ip n_rows,
                     ip d, const double *payload, void *out)
 {
+    const double *row[BLOCK];
     int32_t node[BLOCK];
     for (ip t = 0; t < T; t++) {
         const int32_t root = (int32_t)offsets[tree_ids[t]];
         const int32_t steps = table[root].height;
         for (ip i0 = 0; i0 < n_rows; i0 += BLOCK) {
             const int m = n_rows - i0 < BLOCK ? (int)(n_rows - i0) : BLOCK;
+            for (int k = 0; k < m; k++)
+                row[k] = X + (i0 + k) * d;
             if (m == BLOCK)
-                route_block(table, X, d, i0, BLOCK, root, steps, node);
+                route_block(table, row, BLOCK, root, steps, node);
             else
-                route_block(table, X, d, i0, m, root, steps, node);
+                route_block(table, row, m, root, steps, node);
             const ip base = t * n_rows + i0;
             if (payload) {
                 double *o = (double *)out + base;
@@ -162,6 +162,197 @@ void repro_traverse(const route_t *table, const ip *offsets,
             }
         }
     }
+}
+
+/* Pool traversal over a range-encoded bitmap index.
+ *
+ * A fixed pool takes few distinct values per feature, so its index lists,
+ * per feature f, the sorted distinct non-NaN values levels[starts[f] ..
+ * starts[f+1]), and per level j of them the bitset bits[j] of the rows
+ * whose value is <= that level: row r is bit r % 64 of word r / 64, W
+ * words per bitset, NaN rows in none.  A row then satisfies x[f] <= thr
+ * exactly when it is in the bitset of the last level <= thr (in none when
+ * no level is, NaN thresholds included), so splitting a node's row set is
+ * one AND and one AND-NOT per word, with the walk's own comparisons.
+ */
+
+/* A node's rows go to the per-row walk once they number at most
+ * WALK_PER_WORD * W: from there one walk step per row costs less than
+ * another pass over W words. */
+#define WALK_PER_WORD 4
+
+/* Bits set in x.  Written out because under plain -O2 (no -mpopcnt)
+ * __builtin_popcountll becomes a call into libgcc. */
+static inline ip popcount64(uint64_t x)
+{
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (ip)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* How many of the L ascending levels satisfy level <= thr: a binary search
+ * on that very comparison, so a NaN threshold counts none. */
+static inline ip levels_le(const double *levels, ip L, double thr)
+{
+    ip lo = 0, hi = L;
+    while (lo < hi) {
+        const ip mid = lo + (hi - lo) / 2;
+        if (levels[mid] <= thr)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* out[id[k]] = payload[leaf[k]] (or the leaf id) for k < m. */
+static inline void put_leaves(const ip *id, const int32_t *leaf, int m,
+                              const double *payload, void *out)
+{
+    if (payload) {
+        double *o = (double *)out;
+        for (int k = 0; k < m; k++)
+            o[id[k]] = payload[leaf[k]];
+    } else {
+        ip *o = (ip *)out;
+        for (int k = 0; k < m; k++)
+            o[id[k]] = leaf[k];
+    }
+}
+
+/* Every row in `set` reached leaf `leaf`. */
+static void fill_set(const uint64_t *set, ip W, int32_t leaf,
+                     const double *payload, void *out)
+{
+    for (ip w = 0; w < W; w++)
+        for (uint64_t b = set[w]; b; b &= b - 1) {
+            const ip r = w * 64 + __builtin_ctzll(b);
+            if (payload)
+                ((double *)out)[r] = payload[leaf];
+            else
+                ((ip *)out)[r] = leaf;
+        }
+}
+
+/* Walk the rows in `set` from `node` to their leaves, BLOCK at a time. */
+static void walk_set(const route_t *table, const double *X, ip d,
+                     const uint64_t *set, ip W, int32_t node,
+                     const double *payload, void *out)
+{
+    const int32_t steps = table[node].height;
+    const double *row[BLOCK];
+    ip id[BLOCK];
+    int32_t leaf[BLOCK];
+    int m = 0;
+    for (ip w = 0; w < W; w++)
+        for (uint64_t b = set[w]; b; b &= b - 1) {
+            id[m] = w * 64 + __builtin_ctzll(b);
+            row[m] = X + id[m] * d;
+            if (++m == BLOCK) {
+                route_block(table, row, BLOCK, node, steps, leaf);
+                put_leaves(id, leaf, BLOCK, payload, out);
+                m = 0;
+            }
+        }
+    if (m) {
+        route_block(table, row, m, node, steps, leaf);
+        put_leaves(id, leaf, m, payload, out);
+    }
+}
+
+typedef struct {
+    int32_t node;
+    ip count, slot;
+} pending_t;
+
+/* repro_traverse for the rows of a pool with a bitmap index: the same
+ * arguments and output, plus the index (levels, starts, bits) of the
+ * row-major (n_rows, d) matrix X.
+ *
+ * Per tree it descends depth-first holding each node's rows as one bitset
+ * in a slot of a stack: a split leaves the right child's rows in the
+ * node's slot and puts the left child's in the next one, so a node's
+ * slot is at most its depth.  A leaf scatters its value (or id) to its
+ * rows; a node with at most WALK_PER_WORD * W rows hands them to the walk.
+ * Every row ends in the leaf the walk reaches, so the output is the same.
+ * Returns 0, or -1 if scratch allocation fails.
+ */
+ip repro_traverse_pool(const route_t *table, const ip *offsets,
+                       const ip *tree_ids, ip T, const double *X, ip n_rows,
+                       ip d, const double *levels, const ip *starts,
+                       const uint64_t *bits, const double *payload, void *out)
+{
+    const ip W = (n_rows + 63) / 64;
+    int32_t max_height = 0;
+    for (ip t = 0; t < T; t++) {
+        const int32_t h = table[offsets[tree_ids[t]]].height;
+        if (h > max_height)
+            max_height = h;
+    }
+    const size_t n_slots = (size_t)max_height + 1;
+    uint64_t *sets = malloc(n_slots * (size_t)W * sizeof(uint64_t));
+    pending_t *stack = malloc(n_slots * sizeof(pending_t));
+    if (!sets || !stack) {
+        free(sets);
+        free(stack);
+        return -1;
+    }
+    for (ip t = 0; t < T; t++) {
+        void *out_t = payload ? (void *)((double *)out + t * n_rows)
+                              : (void *)((ip *)out + t * n_rows);
+        for (ip w = 0; w < W; w++)
+            sets[w] = ~0ULL;
+        if (n_rows % 64)
+            sets[W - 1] = (1ULL << (n_rows % 64)) - 1;
+        ip sp = 0;
+        stack[sp++] = (pending_t){(int32_t)offsets[tree_ids[t]], n_rows, 0};
+        while (sp > 0) {
+            const pending_t p = stack[--sp];
+            int32_t node = p.node;
+            ip k = p.count, slot = p.slot;
+            for (;;) {
+                uint64_t *rows = sets + slot * W;
+                const route_t *r = table + node;
+                if (r->height == 0) {
+                    fill_set(rows, W, node, payload, out_t);
+                    break;
+                }
+                if (k <= WALK_PER_WORD * W) {
+                    walk_set(table, X, d, rows, W, node, payload, out_t);
+                    break;
+                }
+                const ip first = starts[r->feat];
+                const ip c = levels_le(levels + first,
+                                       starts[r->feat + 1] - first, r->thr);
+                if (c == 0) { /* no row satisfies x <= thr */
+                    node = r->go[0];
+                    continue;
+                }
+                const uint64_t *le = bits + (first + c - 1) * W;
+                uint64_t *left = rows + W;
+                ip n_left = 0;
+                for (ip w = 0; w < W; w++) {
+                    const uint64_t b = rows[w], m = le[w];
+                    left[w] = b & m;
+                    rows[w] = b & ~m;
+                    n_left += popcount64(b & m);
+                }
+                if (n_left == 0) { /* the node's slot still holds them all */
+                    node = r->go[0];
+                    continue;
+                }
+                if (n_left < k)
+                    stack[sp++] = (pending_t){r->go[0], k - n_left, slot};
+                node = r->go[1];
+                k = n_left;
+                slot++;
+            }
+        }
+    }
+    free(sets);
+    free(stack);
+    return 0;
 }
 
 /* numpy's DOUBLE_pairwise_sum over a unit-stride block. */

@@ -21,7 +21,9 @@ query matrix is validated once at the forest level and all trees are
 traversed in one call (the historical per-tree Python loop re-validated
 the same matrix once per tree) — by the C kernel's blocked routing-table
 traversal when it is loaded, by a numpy level-synchronous loop otherwise.
-For pool scoring the forest additionally keeps a per-tree prediction cache
+For pool scoring the forest takes the :class:`~repro.space.DataPool`
+itself, routes its rows through the pool's bitmap index when the kernel
+is loaded and the pool has one, and keeps a per-tree prediction cache
 keyed by tree *generation* (:meth:`predict_with_uncertainty_pool`), so a
 partial ``update()`` only re-scores the refreshed trees.  The
 ``across_trees`` mean and std come from the kernel's reduction, which
@@ -290,36 +292,41 @@ class RandomForestRegressor:
         return M.mean(axis=0), total_variance_std(M, V)
 
     # -- pool scoring --------------------------------------------------------
-    def _pool_cache_for(self, pool_X: np.ndarray) -> dict:
-        """The per-tree pool-statistics cache, refreshed for ``pool_X``.
+    def _score_pool(
+        self, pool, tree_ids: "np.ndarray | None", need_v: bool
+    ) -> "tuple[np.ndarray, np.ndarray | None]":
+        """Per-tree values of every pool row for ``tree_ids`` (all trees
+        when ``None``), and their leaf variances when ``need_v``."""
+        packed = self.packed()
+        X = self._check_query(pool.X)
+        if need_v:
+            leaves = packed._descend(X, tree_ids, pool=pool)
+            return packed.value[leaves], packed.variance[leaves]
+        return packed._descend(X, tree_ids, values=True, pool=pool), None
+
+    def _pool_cache_for(self, pool) -> dict:
+        """The per-tree pool-statistics cache, refreshed for ``pool``.
 
         The cache holds per-tree predictions ``P`` (and leaf variances
         ``V`` when the ``total_variance`` estimator needs them) for *every*
-        row of ``pool_X``, stamped with each tree's generation.  A partial
+        row of ``pool.X``, stamped with each tree's generation.  A partial
         ``update()`` bumps only the refreshed trees' stamps, so the next
         call re-scores just those trees; rows removed from the pool are
         simply never requested again, so no eager invalidation is needed.
-        The cache is keyed by the identity of ``pool_X`` (the pool matrix
-        is immutable and lives for the whole run — see
+        The cache is keyed by the identity of ``pool``, whose matrix is a
+        private, immutable copy that lives as long as the pool (see
         :class:`repro.space.DataPool`).
         """
         need_v = self.uncertainty == "total_variance"
         cache = self._pool_cache
-        if cache is None or cache["ref"] is not pool_X or (
+        if cache is None or cache["pool"] is not pool or (
             need_v and cache["V"] is None
         ):
             counters.inc("forest.pool_cache.misses")
             with span("forest.pool_score", trees=self.n_estimators, full=1):
-                Xv = self._check_query(pool_X)
-                packed = self.packed()
-                if need_v:
-                    P, V, _ = packed.leaf_stats_all(Xv)
-                else:
-                    P = packed.predict_all(Xv)
-                    V = None
+                P, V = self._score_pool(pool, None, need_v)
             cache = self._pool_cache = {
-                "ref": pool_X,
-                "Xv": Xv,
+                "pool": pool,
                 "P": P,
                 "V": V,
                 "gens": self._tree_gens.copy(),
@@ -330,37 +337,35 @@ class RandomForestRegressor:
             if stale.size:
                 counters.inc("forest.pool_cache.stale_trees", int(stale.size))
                 with span("forest.pool_score", trees=int(stale.size), full=0):
-                    packed = self.packed()
-                    if need_v:
-                        leaves = packed._descend(cache["Xv"], stale)
-                        cache["P"][stale] = packed.value[leaves]
-                        cache["V"][stale] = packed.variance[leaves]
-                    else:
-                        cache["P"][stale] = packed.predict_trees(
-                            cache["Xv"], stale
-                        )
+                    P, V = self._score_pool(pool, stale, need_v)
+                cache["P"][stale] = P
+                if need_v:
+                    cache["V"][stale] = V
                 cache["gens"] = self._tree_gens.copy()
         return cache
 
-    def predict_pool(self, pool_X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``predict(pool_X[rows])`` through the pool-score cache."""
+    def predict_pool(self, pool, rows: np.ndarray) -> np.ndarray:
+        """``predict(pool.X[rows])`` through the pool-score cache."""
         self._require_fitted()
         rows = np.asarray(rows, dtype=np.intp)
-        P = self._pool_cache_for(pool_X)["P"]
+        P = self._pool_cache_for(pool)["P"]
         return _across_trees(P, rows, std=False)[0]
 
     def predict_with_uncertainty_pool(
-        self, pool_X: np.ndarray, rows: np.ndarray
+        self, pool, rows: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``predict_with_uncertainty(pool_X[rows])`` through the cache.
+        """``predict_with_uncertainty(pool.X[rows])`` through the cache.
 
-        Bit-identical to the uncached call: the cached per-tree values are
-        produced by the same packed traversal, and the mean/std reductions
-        act per column, so slicing rows does not change any result.
+        ``pool`` is the :class:`~repro.space.DataPool` and ``rows`` its
+        global row indices.  Bit-identical to the uncached call: the
+        cached per-tree values come from the same comparisons, whether the
+        rows are walked or split through the pool's bitmap index, and the
+        mean/std reductions act per column, so slicing rows does not
+        change any result.
         """
         self._require_fitted()
         rows = np.asarray(rows, dtype=np.intp)
-        cache = self._pool_cache_for(pool_X)
+        cache = self._pool_cache_for(pool)
         if self.uncertainty == "across_trees":
             return _across_trees(cache["P"], rows, std=True)
         # Copied to C order for the same reason as in _across_trees.

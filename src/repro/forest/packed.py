@@ -10,7 +10,10 @@ call.  With the C kernel, each tree's rows go through a compact routing
 table in blocks that step exactly the tree's height, and the kernel writes
 leaf values (or leaf ids) straight into the output; without it, a numpy
 level-synchronous loop descends all lanes together and gathers the leaf
-values afterwards.  Routing decisions are the same
+values afterwards.  The rows of a :class:`~repro.space.DataPool` with a
+bitmap index take a third route when the kernel is loaded: each tree
+splits one bitset of the pool's rows per node, and only small nodes walk
+their rows.  Routing decisions are the same
 ``X[row, feature] <= threshold`` comparisons the per-tree code makes, and
 leaf payloads are the trees' own arrays concatenated, so every prediction
 is bit-identical to the per-tree reference — the trace-equivalence suite
@@ -212,6 +215,7 @@ class PackedForest:
         X: np.ndarray,
         tree_ids: "np.ndarray | None" = None,
         values: bool = False,
+        pool=None,
     ) -> np.ndarray:
         """Route every (tree, row) lane to its leaf, shape ``(T, n_rows)``.
 
@@ -220,8 +224,11 @@ class PackedForest:
         :class:`IndexError`.  ``X`` must be a 2-D query with ``n_features``
         columns (converted to float64; anything else raises
         :class:`ValueError`), checked here once, before either kernel mode
-        reads it.  Returns the global leaf ids, or with ``values`` the
-        leaves' mean predictions ``value[leaf]``.
+        reads it.  ``pool``, when given, is the
+        :class:`~repro.space.DataPool` whose matrix ``X`` is; with the
+        kernel loaded, the pool's bitmap index routes its rows when it has
+        one.  Returns the global leaf ids, or with ``values`` the leaves'
+        mean predictions ``value[leaf]``.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -229,6 +236,8 @@ class PackedForest:
                 f"query must be 2-D with {self.n_features} columns, got "
                 f"shape {X.shape}"
             )
+        if pool is not None and X is not pool.X:
+            raise ValueError("X must be the pool's own matrix")
         if tree_ids is None:
             tree_ids = np.arange(self.n_trees, dtype=np.intp)
         else:
@@ -246,12 +255,17 @@ class PackedForest:
         with span("forest.traverse", trees=len(tree_ids), rows=X.shape[0]):
             kernel = _cgrower.load()
             if kernel is not None:
-                return self._traverse(kernel, X, tree_ids, values)
+                index = None if pool is None else pool.bitmap_index()
+                return self._traverse(kernel, X, tree_ids, values, index)
             leaves = self._descend_numpy(X, self.offsets[tree_ids])
             return self.value[leaves] if values else leaves
 
-    def _traverse(self, kernel, X, tree_ids, values: bool) -> np.ndarray:
-        """The C kernel's traversal, through the cached routing table."""
+    def _traverse(
+        self, kernel, X, tree_ids, values: bool, index=None
+    ) -> np.ndarray:
+        """The C kernel's traversal, through the cached routing table, and
+        through ``index`` (the :class:`~repro.space.pool.BitmapIndex` of
+        ``X``) when one is given."""
         if self._routes is None:
             routes = np.empty(self.n_nodes, dtype=ROUTE)
             if kernel.build_routes(
@@ -266,12 +280,19 @@ class PackedForest:
             (len(tree_ids), Xc.shape[0]),
             dtype=np.float64 if values else np.intp,
         )
-        kernel.traverse(
+        walk = (
             self._routes.ctypes.data, self.offsets.ctypes.data,
             tree_ids.ctypes.data, len(tree_ids), Xc.ctypes.data,
             Xc.shape[0], Xc.shape[1],
-            self.value.ctypes.data if values else None, out.ctypes.data,
         )
+        payload = self.value.ctypes.data if values else None
+        if index is None:
+            kernel.traverse(*walk, payload, out.ctypes.data)
+        elif kernel.traverse_pool(
+            *walk, index.levels.ctypes.data, index.starts.ctypes.data,
+            index.bits.ctypes.data, payload, out.ctypes.data,
+        ) != 0:
+            raise MemoryError("pool traversal could not allocate its bitsets")
         return out
 
     def _descend_numpy(self, X: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -322,11 +343,7 @@ class PackedForest:
         return self.value[leaves], self.variance[leaves], self.count[leaves]
 
     def predict_trees(self, X: np.ndarray, tree_ids: np.ndarray) -> np.ndarray:
-        """Mean predictions of a tree subset, ``(len(tree_ids), n_rows)``.
-
-        Used by the pool-score cache to re-score only the trees a partial
-        :meth:`~repro.forest.forest.RandomForestRegressor.update` refreshed.
-        """
+        """Mean predictions of a tree subset, ``(len(tree_ids), n_rows)``."""
         return self._descend(X, tree_ids, values=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

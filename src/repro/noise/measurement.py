@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.envelope import is_finite_number
+
 __all__ = ["MeasurementProtocol", "KERNEL_PROTOCOL", "APP_PROTOCOL"]
+
+#: Most repeats a deserialized protocol may average: each measured row
+#: draws ``n_repeats`` values, so a corrupt count must not make it huge.
+MAX_REPEATS = 10_000
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,21 @@ class MeasurementProtocol:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MeasurementProtocol":
-        return cls(
-            n_repeats=int(payload["n_repeats"]),
-            noise_sigma=float(payload["noise_sigma"]),
-            outlier_prob=float(payload["outlier_prob"]),
-            outlier_scale=float(payload["outlier_scale"]),
-        )
+        """Inverse of :meth:`to_dict`.  Anything it could not have written
+        raises :class:`ValueError` (``KeyError`` for a missing field):
+        ``n_repeats`` must be an integer in ``[1, MAX_REPEATS]`` and the
+        other fields finite numbers."""
+        if not isinstance(payload, dict):
+            raise ValueError("a serialized protocol must be an object")
+        n_repeats = payload["n_repeats"]
+        if not (isinstance(n_repeats, int) and not isinstance(n_repeats, bool)
+                and 1 <= n_repeats <= MAX_REPEATS):
+            raise ValueError(f"n_repeats must be an integer in [1, {MAX_REPEATS}]")
+        reals = [payload[k] for k in ("noise_sigma", "outlier_prob", "outlier_scale")]
+        if not all(map(is_finite_number, reals)):
+            raise ValueError("protocol noise fields must be finite numbers")
+        sigma, prob, scale = map(float, reals)
+        return cls(n_repeats, sigma, prob, scale)
 
 
 #: Kernel protocol: 35 repeats (paper, Section III-B), noticeable jitter.

@@ -29,7 +29,7 @@ def pool_mu_sigma(model, pool: DataPool, available: np.ndarray):
     """
     scorer = getattr(model, "predict_with_uncertainty_pool", None)
     if scorer is not None:
-        return scorer(pool.X, available)
+        return scorer(pool, available)
     return model.predict_with_uncertainty(pool.X[available])
 
 
@@ -37,7 +37,7 @@ def pool_mu(model, pool: DataPool, available: np.ndarray) -> np.ndarray:
     """Predicted means for the pool rows ``available`` (cached when possible)."""
     scorer = getattr(model, "predict_pool", None)
     if scorer is not None:
-        return scorer(pool.X, available)
+        return scorer(pool, available)
     return model.predict(pool.X[available])
 
 

@@ -194,6 +194,11 @@ def _is_execution_time(value) -> bool:
     return isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
 
 
+def _is_index(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class Session:
     """One tuning session: spec + learner + journal directory + lock.
 
@@ -246,15 +251,23 @@ class Session:
 
         Every journaled round is re-driven through suggest/observe; the
         re-suggested indices must equal the journaled ones (determinism
-        check).  A corrupt or diverging journal raises ``RuntimeError`` —
-        the registry records the session as failed instead of serving a
-        model that does not match its journal.
+        check).  A ``meta.json`` that is not an object naming this
+        directory, and a corrupt, malformed or diverging journal, raise
+        ``RuntimeError`` — the registry records the session as failed
+        instead of serving a model that does not match its journal.
         """
         directory = Path(directory)
         meta = json.loads((directory / META_NAME).read_text())
+        if not isinstance(meta, dict):
+            raise RuntimeError(f"{directory / META_NAME}: not a JSON object")
         if meta.get("schema") != SERVICE_SCHEMA:
             raise RuntimeError(
                 f"{directory / META_NAME}: unexpected schema {meta.get('schema')!r}"
+            )
+        if meta.get("id") != directory.name:
+            raise RuntimeError(
+                f"{directory / META_NAME}: id {meta.get('id')!r} does not "
+                f"name its directory"
             )
         spec = SessionSpec.from_payload(meta["spec"])
         session = cls(meta["id"], spec, directory)
@@ -268,18 +281,30 @@ class Session:
         counters.inc("service.sessions.resumed")
         return session
 
-    def _replay_round(self, payload: dict, offset: int) -> None:
-        journaled = [int(i) for i in payload["indices"]]
-        suggested = self.learner.suggest(payload.get("n"))
+    def _replay_round(self, payload, offset: int) -> None:
+        """Re-drive one journaled round; a line :meth:`report` could not
+        have written, or one replay disagrees with, raises ``RuntimeError``."""
+        where = f"{self.dir / JOURNAL_NAME} at offset {offset}"
+        if not isinstance(payload, dict):
+            raise RuntimeError(f"{where}: journal line is not a JSON object")
+        indices, n, y = payload.get("indices"), payload.get("n"), payload.get("y")
+        if not _flat_list_of(indices, _is_index):
+            raise RuntimeError(f"{where}: indices are not a flat list of integers")
+        if n is not None and not (_is_index(n) and n >= 1):
+            raise RuntimeError(f"{where}: n {n!r} is neither null nor >= 1")
+        journaled = [int(i) for i in indices]
+        suggested = self.learner.suggest(n)
         if [int(i) for i in suggested] != journaled:
             raise RuntimeError(
                 f"{self.dir / JOURNAL_NAME}: replay diverged at offset "
                 f"{offset}: journal holds indices {journaled}, "
                 f"deterministic replay suggested {list(map(int, suggested))}"
             )
-        self.learner.observe(
-            np.asarray(payload["y"], dtype=np.float64), indices=journaled
-        )
+        if not _flat_list_of(y, _is_execution_time) or len(y) != len(journaled):
+            raise RuntimeError(
+                f"{where}: y is not one finite time > 0 per index"
+            )
+        self.learner.observe(np.asarray(y, dtype=np.float64), indices=journaled)
         self.rounds += 1
 
     # -- state ---------------------------------------------------------------
@@ -380,7 +405,7 @@ class Session:
                     "call suggest first",
                 )
             pending_idx = [int(i) for i in pending[0]]
-            if not _flat_list_of(indices, lambda i: isinstance(i, numbers.Integral)):
+            if not _flat_list_of(indices, _is_index):
                 raise ProtocolError(
                     400, "bad_report", "indices must be a flat list of integers"
                 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.envelope import is_finite_number
 from repro.space.parameters import (
     BooleanParameter,
     CategoricalParameter,
@@ -28,6 +29,10 @@ __all__ = ["space_to_dict", "space_from_dict"]
 
 #: Bumped on any incompatible change to the serialized space form.
 SPACE_SCHEMA_VERSION = 1
+
+#: Most values a deserialized integer parameter may hold: the parameter
+#: materialises its whole range, which a corrupt bound must not make huge.
+MAX_INTEGER_VALUES = 2**16
 
 
 def _parameter_to_dict(p: Parameter) -> dict:
@@ -73,26 +78,56 @@ def space_to_dict(space: ParameterSpace) -> dict:
     return out
 
 
-def _parameter_from_dict(d: dict) -> Parameter:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parameter_from_dict(d) -> Parameter:
+    if not isinstance(d, dict):
+        raise ValueError(f"a serialized parameter must be an object, got {d!r}")
     kind = d.get("kind")
     if kind == "boolean":
         return BooleanParameter(d["name"])
     if kind == "categorical":
+        if not isinstance(d["categories"], list):
+            raise ValueError("categorical parameter categories must be a list")
         return CategoricalParameter(d["name"], d["categories"])
     if kind == "integer":
-        return IntegerParameter(d["name"], d["low"], d["high"], d.get("step", 1))
+        low, high, step = d["low"], d["high"], d.get("step", 1)
+        if not (_is_int(low) and _is_int(high) and _is_int(step) and step > 0):
+            raise ValueError(
+                "integer parameter bounds must be integers and its step > 0"
+            )
+        if (high - low) // step >= MAX_INTEGER_VALUES:
+            raise ValueError(
+                f"integer parameter range holds more than {MAX_INTEGER_VALUES} "
+                "values"
+            )
+        return IntegerParameter(d["name"], low, high, step)
     if kind == "ordinal":
-        return OrdinalParameter(d["name"], d["values"])
+        values = d["values"]
+        if not (isinstance(values, list) and all(map(is_finite_number, values))):
+            raise ValueError("ordinal parameter values must be finite numbers")
+        return OrdinalParameter(d["name"], values)
     raise ValueError(f"unknown serialized parameter kind {kind!r}")
 
 
 def space_from_dict(payload: dict) -> ParameterSpace:
-    """Inverse of :func:`space_to_dict` (constraints are *not* restored)."""
-    schema = int(payload.get("schema", SPACE_SCHEMA_VERSION))
-    if schema > SPACE_SCHEMA_VERSION:
+    """Inverse of :func:`space_to_dict` (constraints are *not* restored).
+
+    Anything :func:`space_to_dict` could not have written raises
+    :class:`ValueError` (or ``KeyError`` for a missing field).
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("a serialized space must be an object")
+    schema = payload.get("schema", SPACE_SCHEMA_VERSION)
+    if not _is_int(schema) or schema > SPACE_SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported space schema {schema} "
+            f"unsupported space schema {schema!r} "
             f"(this build reads <= {SPACE_SCHEMA_VERSION})"
         )
-    params: "list[Any]" = [_parameter_from_dict(d) for d in payload["parameters"]]
+    parameters = payload["parameters"]
+    if not isinstance(parameters, list):
+        raise ValueError("a serialized space's parameters must be a list")
+    params: "list[Any]" = [_parameter_from_dict(d) for d in parameters]
     return ParameterSpace(params)

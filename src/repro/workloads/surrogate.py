@@ -46,7 +46,12 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.envelope import EnvelopeError, describe_file, read_npz_payload
+from repro.envelope import (
+    EnvelopeError,
+    describe_file,
+    is_finite_number,
+    read_npz_payload,
+)
 from repro.noise import MeasurementProtocol
 from repro.rng import derive
 from repro.space import ParameterSpace, space_from_dict, space_to_dict
@@ -260,7 +265,9 @@ def load_distilled(file) -> SurrogateBenchmark:
     """Load a distilled workload saved by :func:`save_distilled`.
 
     Missing, truncated, or foreign files — including valid surrogate
-    envelopes that were never distilled (no ``workload_meta``) — raise a
+    envelopes that were never distilled (no ``workload_meta``) — and a
+    ``workload_schema`` or ``workload_meta`` that :func:`save_distilled`
+    could not have written, or whose space does not fit the model, raise a
     typed :class:`~repro.envelope.EnvelopeError` naming the file and the
     expected schema.
     """
@@ -274,19 +281,30 @@ def load_distilled(file) -> SurrogateBenchmark:
             "workload (a plain surrogate/forest envelope cannot serve as a "
             "benchmark; run `repro distill` to create one)",
         )
-    schema = int(payload.get("workload_schema", WORKLOAD_SCHEMA_VERSION))
-    if schema > WORKLOAD_SCHEMA_VERSION:
+    schema = payload.get("workload_schema", np.asarray(WORKLOAD_SCHEMA_VERSION))
+    if schema.ndim != 0 or schema.dtype.kind not in "iu":
+        raise EnvelopeError(
+            source, _EXPECTED, f"workload_schema {schema!r} is not an integer"
+        )
+    if int(schema) > WORKLOAD_SCHEMA_VERSION:
         raise EnvelopeError(
             source,
             _EXPECTED,
-            f"unsupported workload schema {schema} "
+            f"unsupported workload schema {int(schema)} "
             f"(this build reads <= {WORKLOAD_SCHEMA_VERSION})",
         )
     try:
         meta = json.loads(str(payload["workload_meta"]))
+        if not isinstance(meta, dict):
+            raise ValueError("workload_meta is not a JSON object")
         space = space_from_dict(meta["space"])
         protocol = MeasurementProtocol.from_dict(meta["noise"])
         name = str(meta["name"])
+        floor = meta.get("time_floor", 1e-12)
+        if not (is_finite_number(floor) and floor > 0):
+            raise ValueError(f"time_floor {floor!r} is not a finite number > 0")
+        if not isinstance(meta.get("provenance", {}), dict):
+            raise ValueError("provenance is not a JSON object")
     except (KeyError, ValueError, TypeError) as exc:
         raise EnvelopeError(
             source, _EXPECTED, f"corrupt workload_meta ({exc})"
@@ -299,6 +317,14 @@ def load_distilled(file) -> SurrogateBenchmark:
         if isinstance(exc, EnvelopeError):
             raise
         raise EnvelopeError(source, _EXPECTED, str(exc)) from exc
+    try:
+        model.predict(np.zeros((1, space.n_parameters)))
+    except ValueError as exc:
+        raise EnvelopeError(
+            source, _EXPECTED,
+            f"the space's {space.n_parameters} parameters do not fit the "
+            f"model ({exc})",
+        ) from exc
     counters.inc("surrogate.distilled_loads")
     return SurrogateBenchmark(name, space, protocol, model, meta, payload=payload)
 

@@ -9,9 +9,12 @@ never a raw ``zipfile``/``KeyError`` traceback.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.api
 from repro.envelope import EnvelopeError
@@ -24,6 +27,7 @@ from repro.workloads import (
     load_distilled,
     save_distilled,
 )
+from repro.workloads.surrogate import zoo_dir
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +185,122 @@ class TestTypedFailures:
     def test_tiny_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             distill_workload(get_benchmark("atax"), budget=1)
+
+
+#: A committed zoo envelope, read once: the archive the mutations start from.
+with np.load(zoo_dir() / "atax-forest.npz") as _zoo:
+    _ZOO_PAYLOAD = dict(_zoo)
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5),
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=2),
+)
+
+
+def _paths(node, prefix=()):
+    """The key/index path of every value in a parsed JSON document."""
+    yield prefix
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _load_mutated(**arrays):
+    """Load the zoo envelope with ``arrays`` replacing its own."""
+    buf = io.BytesIO()
+    np.savez(buf, **dict(_ZOO_PAYLOAD, **arrays))
+    buf.seek(0)
+    return load_distilled(buf)
+
+
+def _meta_with(path, value):
+    meta = json.loads(str(_ZOO_PAYLOAD["workload_meta"]))
+    *parents, last = path
+    node = meta
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return np.asarray(json.dumps(meta))
+
+
+class TestMutatedEnvelopes:
+    """A distilled envelope whose ``workload_meta`` or ``workload_schema``
+    is damaged inside a valid archive gives an :class:`EnvelopeError` or a
+    workload that evaluates, never another exception."""
+
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            {"workload_schema": np.asarray([1, 1])},
+            {"workload_schema": np.asarray("one")},
+            {"workload_schema": np.asarray(1.0)},
+            {"workload_meta": _meta_with(("space", "parameters", 0), 7)},
+            {"workload_meta": _meta_with(("time_floor",), "tiny")},
+            {"workload_meta": _meta_with(("time_floor",), float("nan"))},
+            {"workload_meta": _meta_with(("noise", "n_repeats"), 10**12)},
+            {"workload_meta": _meta_with(("space", "parameters", 3, "high"), 10**12)},
+            {"workload_meta": _meta_with(("space", "parameters", 3, "high"), 1e400)},
+            {"workload_meta": _meta_with(("space", "schema"), float("inf"))},
+            {"workload_meta": _meta_with(("space", "parameters", 0, "values"), {"a": 1})},
+            {"workload_meta": _meta_with(("provenance",), [1])},
+            {"workload_meta": np.asarray("[]")},
+        ],
+        ids=["schema-list", "schema-text", "schema-float", "parameter-not-object",
+             "floor-text", "floor-nan", "huge-repeats", "huge-range",
+             "infinite-bound", "infinite-space-schema", "ordinal-object",
+             "provenance-list", "meta-list"],
+    )
+    def test_malformed_meta_is_an_envelope_error(self, arrays):
+        with pytest.raises(EnvelopeError, match="distilled-workload"):
+            _load_mutated(**arrays)
+
+    def test_space_that_does_not_fit_the_model(self):
+        meta = json.loads(str(_ZOO_PAYLOAD["workload_meta"]))
+        del meta["space"]["parameters"][-1]
+        with pytest.raises(EnvelopeError, match="do not fit the model"):
+            _load_mutated(workload_meta=np.asarray(json.dumps(meta)))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_meta_or_schema_is_typed_or_evaluates(self, data):
+        meta = json.loads(str(_ZOO_PAYLOAD["workload_meta"]))
+        how = data.draw(st.sampled_from(["replace", "delete", "schema", "text"]))
+        if how == "schema":
+            value = data.draw(st.one_of(JSON_SCALARS, st.lists(st.integers(-3, 3))))
+            arrays = {"workload_schema": np.asarray(value)}
+        elif how == "text":
+            text = str(_ZOO_PAYLOAD["workload_meta"])
+            at = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.integers(0, 4))
+            arrays = {"workload_meta": np.asarray(
+                text[:at] + data.draw(st.text(max_size=3)) + text[at + cut:]
+            )}
+        else:
+            paths = list(_paths(meta))[1:]
+            path = data.draw(st.sampled_from(paths))
+            *parents, last = path
+            node = meta
+            for key in parents:
+                node = node[key]
+            if how == "delete":
+                del node[last]
+            else:
+                node[last] = data.draw(JSON_VALUES)
+            arrays = {"workload_meta": np.asarray(json.dumps(meta))}
+        try:
+            bench = _load_mutated(**arrays)
+        except EnvelopeError:
+            return
+        rng = np.random.default_rng(0)
+        y = bench.evaluate_batch(bench.space.sample_encoded(rng, 4), rng)
+        assert y.shape == (4,) and y.dtype == np.float64
 
 
 class TestSpaceSerialization:

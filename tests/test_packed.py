@@ -11,6 +11,7 @@ import repro.forest._cgrower as _cgrower
 from repro.envelope import EnvelopeError
 from repro.forest import PackedForest, RandomForestRegressor, load_forest, save_forest
 from repro.forest.packed import FIELDS
+from repro.space import DataPool
 
 _TREE_FIELDS = (
     "feature_",
@@ -331,9 +332,9 @@ class TestPoolRows:
         model, pool, P = scored
         rows = np.asarray(rows, dtype=np.intp)
         mu_ref, sd_ref = self._reference(P, rows)
-        mu, sd = model.predict_with_uncertainty_pool(pool, rows)
+        mu, sd = model.predict_with_uncertainty_pool(DataPool(pool), rows)
         assert mu.tobytes() == mu_ref.tobytes() and sd.tobytes() == sd_ref.tobytes()
-        assert model.predict_pool(pool, rows).tobytes() == mu_ref.tobytes()
+        assert model.predict_pool(DataPool(pool), rows).tobytes() == mu_ref.tobytes()
         mu_q, sd_q = model.predict_with_uncertainty(pool[rows])
         assert mu.tobytes() == mu_q.tobytes() and sd.tobytes() == sd_q.tobytes()
 
@@ -342,9 +343,212 @@ class TestPoolRows:
         model, pool, _ = scored
         rows = np.array([0, bad, 3])
         with pytest.raises(IndexError):
-            model.predict_with_uncertainty_pool(pool, rows)
+            model.predict_with_uncertainty_pool(DataPool(pool), rows)
         with pytest.raises(IndexError):
-            model.predict_pool(pool, rows)
+            model.predict_pool(DataPool(pool), rows)
+
+
+def _discrete_pool(r, n, d, max_levels=31, specials=False):
+    """An ``(n, d)`` pool whose features take 2..max_levels values each;
+    with ``specials``, levels include -0.0, 0.0 and +-inf, and some rows
+    hold NaN in one feature or in all of them."""
+    cols = []
+    for _ in range(d):
+        grid = np.arange(-60, 60) * 0.75
+        lv = r.choice(grid, size=int(r.integers(2, max_levels + 1)), replace=False)
+        if specials:
+            lv[: min(4, len(lv))] = [-0.0, 0.0, np.inf, -np.inf][: min(4, len(lv))]
+        cols.append(r.choice(lv, size=n))
+    X = np.stack(cols, axis=1)
+    if specials and n > 2:
+        X[r.random(n) < 0.05, int(r.integers(d))] = np.nan
+        X[int(r.integers(n))] = np.nan
+    return X
+
+
+def _training_rows(r, pool_X, n):
+    """Training rows drawn from the pool's finite levels, feature by feature."""
+    cols = []
+    for col in pool_X.T:
+        finite = col[np.isfinite(col)]
+        cols.append(r.choice(finite if len(finite) else np.zeros(1), size=n))
+    return np.stack(cols, axis=1)
+
+
+class TestPoolBitmapRouting:
+    """Pool scoring through the pool's bitmap index is bit-identical to
+    scoring the same rows as a plain query, in both kernel modes."""
+
+    @pytest.fixture
+    def bitmap_calls(self, kernel_mode, monkeypatch):
+        """Counts the kernel calls that route through a bitmap index and
+        returns ``expect(n)``: whether there were ``n`` of them with the
+        kernel, none in the numpy fallback."""
+        calls = []
+        if kernel_mode == "c-kernel":
+            kernel = _cgrower.load()
+            traverse_pool = kernel.traverse_pool
+
+            def counted(*args):
+                calls.append(args)
+                return traverse_pool(*args)
+
+            monkeypatch.setattr(kernel, "traverse_pool", counted)
+            return lambda n: len(calls) == n
+        return lambda n: calls == []
+
+    @staticmethod
+    def _assert_scores_match(model, pool, rows):
+        mu, sd = model.predict_with_uncertainty_pool(pool, rows)
+        mu_q, sd_q = model.predict_with_uncertainty(pool.X[rows])
+        assert mu.tobytes() == mu_q.tobytes() and sd.tobytes() == sd_q.tobytes()
+        mu_p = model.predict_pool(pool, rows)
+        assert mu_p.tobytes() == model.predict(pool.X[rows]).tobytes()
+
+    @staticmethod
+    def _assert_leaves_match(packed, pool, tree_ids):
+        leaves = packed._descend(pool.X, tree_ids, pool=pool)
+        roots = packed.offsets[np.asarray(tree_ids, dtype=np.intp)]
+        assert (leaves == packed._descend_numpy(pool.X, roots)).all()
+        values = packed._descend(pool.X, tree_ids, values=True, pool=pool)
+        assert values.tobytes() == packed.value[leaves].tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 400, 7000])
+    @pytest.mark.parametrize("uncertainty", ["across_trees", "total_variance"])
+    def test_row_counts(self, bitmap_calls, n_rows, uncertainty):
+        r = np.random.default_rng(n_rows)
+        for trial in range(3 if n_rows < 7000 else 1):
+            d = int(r.integers(1, 39))
+            pool = DataPool(_discrete_pool(r, n_rows, d, specials=trial > 0))
+            assert pool.bitmap_index() is not None
+            n_train = int(r.integers(2, 80))
+            X = _training_rows(r, pool.X, n_train)
+            y = np.abs(r.normal(size=n_train)) + 0.1
+            model = RandomForestRegressor(
+                n_estimators=int(r.integers(1, 31)), seed=trial,
+                uncertainty=uncertainty,
+            ).fit(X, y)
+            rows = np.sort(r.permutation(n_rows)[: max(1, n_rows // 2)])
+            self._assert_scores_match(model, pool, rows)
+            self._assert_scores_match(model, pool, np.arange(n_rows))
+        assert bitmap_calls(3 if n_rows < 7000 else 1)
+
+    def test_features_and_levels(self, bitmap_calls):
+        r = np.random.default_rng(38)
+        for d, max_levels in ((1, 2), (1, 31), (5, 3), (17, 31), (38, 2), (38, 31)):
+            pool = DataPool(_discrete_pool(r, 900, d, max_levels, specials=True))
+            X = _training_rows(r, pool.X, 120)
+            y = np.exp(r.normal(size=120))
+            model = RandomForestRegressor(n_estimators=12, seed=d).fit(X, y)
+            self._assert_scores_match(model, pool, np.arange(900))
+            self._assert_leaves_match(model.packed(), pool, np.arange(12))
+        assert bitmap_calls(6 * 3)
+
+    def test_partial_update_rescoring(self, bitmap_calls):
+        r = np.random.default_rng(5)
+        for uncertainty in ("across_trees", "total_variance"):
+            pool = DataPool(_discrete_pool(r, 2000, 7, specials=True))
+            X = _training_rows(r, pool.X, 40)
+            model = RandomForestRegressor(
+                n_estimators=10, seed=3, uncertainty=uncertainty
+            ).fit(X, np.abs(r.normal(size=40)) + 0.1)
+            rows = np.arange(2000)
+            for step in range(4):
+                self._assert_scores_match(model, pool, rows)
+                rows = rows[r.random(len(rows)) < 0.8]
+                Xn = _training_rows(r, pool.X, 3)
+                model.update(Xn, np.abs(r.normal(size=3)) + 0.1, refresh_fraction=0.3)
+        # One cold scoring per estimator, then three stale re-scorings each.
+        assert bitmap_calls(2 * 4)
+
+    def test_leaf_ids_with_repeated_tree_ids(self, bitmap_calls):
+        r = np.random.default_rng(9)
+        pool = DataPool(_discrete_pool(r, 3000, 6, specials=True))
+        X = _training_rows(r, pool.X, 200)
+        model = RandomForestRegressor(n_estimators=6, seed=1).fit(
+            X, np.exp(r.normal(size=200))
+        )
+        packed = model.packed()
+        for ids in ([3, 3, 0, 5, 3], [1], [], list(range(6)) * 2):
+            self._assert_leaves_match(packed, pool, ids)
+        assert bitmap_calls(4 * 2)
+
+    def test_loaded_forest_with_non_finite_thresholds(self, bitmap_calls):
+        """Thresholds at NaN, +-inf, +-0.0 and exactly on a pool level."""
+        from repro.forest.serialize import forest_from_payload, forest_payload
+
+        r = np.random.default_rng(11)
+        pool = DataPool(_discrete_pool(r, 1500, 5, specials=True))
+        X = _training_rows(r, pool.X, 150)
+        fitted = RandomForestRegressor(n_estimators=9, seed=2).fit(
+            X, np.exp(r.normal(size=150))
+        )
+        payload = dict(forest_payload(fitted))
+        feature = payload["packed_feature"]
+        threshold = payload["packed_threshold"].copy()
+        for node in np.flatnonzero(feature >= 0):
+            if r.random() < 0.5:
+                col = pool.X[:, feature[node]]
+                threshold[node] = r.choice(
+                    [np.nan, np.inf, -np.inf, 0.0, -0.0, r.choice(col)]
+                )
+        payload["packed_threshold"] = threshold
+        model = forest_from_payload(payload)
+        self._assert_scores_match(model, pool, np.arange(1500))
+        self._assert_leaves_match(model.packed(), pool, np.arange(9))
+        assert bitmap_calls(3)
+
+    def test_nodes_on_both_sides_of_the_walk_switch(self, bitmap_calls):
+        """128 rows make two words, so nodes of up to 8 rows walk.  The
+        root (128 rows) and its left child (9) split bitsets; the latter's
+        left child (8) walks on through two more splits."""
+        n = 128
+        X = np.zeros((n, 2))
+        X[8, 0] = 1.0
+        X[9:, 0] = 2.0
+        X[:, 1] = np.arange(n) % 4
+        pool = DataPool(X)
+        assert pool.bitmap_index() is not None
+        #        0: x0 <= 1.5
+        #     1: x0 <= 0.5      2: leaf (119 rows)
+        #  3: x1 <= 1.5   4: leaf (1 row)
+        # 5: x1 <= 0.5  6: leaf
+        # 7: leaf  8: leaf
+        packed = PackedForest(
+            np.array([0, 0, -1, 1, -1, 1, -1, -1, -1]),
+            np.array([1.5, 0.5, 0, 1.5, 0, 0.5, 0, 0, 0]),
+            np.array([1, 3, -1, 5, -1, 7, -1, -1, -1]),
+            np.array([2, 4, -1, 6, -1, 8, -1, -1, -1]),
+            np.arange(9, dtype=np.float64), np.zeros(9),
+            np.ones(9, dtype=np.intp), np.zeros(9),
+            offsets=np.array([0, 9]), n_features=2,
+        )
+        leaves = packed._descend(pool.X, pool=pool)[0]
+        expected = np.full(n, 2)
+        expected[8] = 4
+        expected[:8] = np.where(X[:8, 1] <= 1.5, np.where(X[:8, 1] <= 0.5, 7, 8), 6)
+        assert leaves.tolist() == expected.tolist()
+        self._assert_leaves_match(packed, pool, [0, 0])
+        assert bitmap_calls(3)
+
+    def test_continuous_pool_gets_no_index(self, bitmap_calls):
+        r = np.random.default_rng(2)
+        pool = DataPool(r.normal(size=(3000, 4)))
+        assert pool.bitmap_index() is None
+        model = RandomForestRegressor(n_estimators=7, seed=0).fit(
+            pool.X[:100], np.abs(r.normal(size=100)) + 0.1
+        )
+        self._assert_scores_match(model, pool, np.arange(0, 3000, 3))
+        assert bitmap_calls(0)
+
+    def test_query_must_be_the_pools_matrix(self, kernel_mode):
+        r = np.random.default_rng(4)
+        pool = DataPool(_discrete_pool(r, 100, 3))
+        model = RandomForestRegressor(n_estimators=3, seed=0).fit(
+            pool.X[:30], np.abs(r.normal(size=30)) + 0.1
+        )
+        with pytest.raises(ValueError, match="pool's own matrix"):
+            model.packed()._descend(pool.X.copy(), pool=pool)
 
 
 class TestSerializeV2:

@@ -13,7 +13,10 @@ Three layers under test, cheapest first:
 """
 
 import json
+import shutil
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,6 +546,49 @@ class TestSessionDeterminismAndResume:
         states = {s["id"]: s["state"] for s in data["sessions"]}
         assert states[sid] == "failed"
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("journal.jsonl",
+             b'{"indices": [Infinity, 1], "n": null, "round": 0, "y": [1.0, 1.0]}\n'),
+            ("journal.jsonl", b'[{"indices": [1]}]\n'),
+            ("journal.jsonl", b'{"indices": [1], "n": 0, "round": 0, "y": [1.0]}\n'),
+            ("journal.jsonl", b'{"indices": [1], "n": true, "round": 0, "y": [1.0]}\n'),
+            ("meta.json", b"[]"),
+            ("meta.json", b'"meta"'),
+        ],
+        ids=["non-finite-index", "not-an-object", "zero-n", "bool-n",
+             "meta-list", "meta-string"],
+    )
+    def test_registry_boots_past_a_malformed_session(self, tmp_path, name, content):
+        driver = AppDriver(tmp_path)
+        sid = driver.drive(SPEC_FIELDS, rounds=2)
+        (tmp_path / "sessions" / sid / name).write_bytes(content)
+        registry = SessionRegistry(tmp_path)
+        assert registry.list() == [
+            {"id": sid, "state": "failed", "error": registry._failed_loads[sid]}
+        ]
+
+    @pytest.mark.parametrize(
+        "damage", ["renamed-id", "zero-label", "short-y"],
+    )
+    def test_replay_refuses_rounds_report_would_not_write(self, tmp_path, damage):
+        """A meta.json naming another directory, and journaled labels the
+        report path rejects, fail the load with ``RuntimeError``."""
+        driver = AppDriver(tmp_path)
+        sid = driver.drive(SPEC_FIELDS, rounds=2)
+        directory = tmp_path / "sessions" / sid
+        if damage == "renamed-id":
+            directory = directory.rename(directory.with_name(sid[:-1] + "0"))
+        else:
+            journal = directory / "journal.jsonl"
+            first, rest = journal.read_bytes().split(b"\n", 1)
+            line = json.loads(first)
+            line["y"] = [0.0] + line["y"][1:] if damage == "zero-label" else line["y"][1:]
+            journal.write_bytes(json.dumps(line).encode() + b"\n" + rest)
+        with pytest.raises(RuntimeError):
+            Session.load(directory)
+
     @staticmethod
     def _reboot_on_manifest(tmp_path, manifest) -> float:
         """Reboot on a lost (``None``) or damaged manifest and check the
@@ -597,6 +643,42 @@ class TestSessionDeterminismAndResume:
         assert resumed.model_bytes() == model_blob(
             offline_reference(make_spec(mode="server", n_max=12))
         )
+
+
+class TestBootAfterDamage:
+    """Truncating a session's journal or ``meta.json``, or flipping 1-3 of
+    its bytes, never stops the registry from booting: the session is
+    resumed or listed as failed."""
+
+    @pytest.fixture(scope="class")
+    def template(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("boot-template")
+        sid = AppDriver(root).drive(SPEC_FIELDS, rounds=3)
+        return root, sid
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_damaged_session_is_resumed_or_failed(self, template, data):
+        root, sid = template
+        name = data.draw(st.sampled_from(["journal.jsonl", "meta.json"]))
+        raw = (root / "sessions" / sid / name).read_bytes()
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            flipped = bytearray(raw)
+            for _ in range(data.draw(st.integers(1, 3))):
+                at = data.draw(st.integers(0, len(raw) - 1))
+                flipped[at] ^= data.draw(st.integers(1, 255))
+            damaged = bytes(flipped)
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp) / "data"
+            shutil.copytree(root, copy)
+            (copy / "sessions" / sid / name).write_bytes(damaged)
+            registry = SessionRegistry(copy)
+            states = {s["id"]: s["state"] for s in registry.list()}
+            registry.shutdown()
+        assert list(states) == [sid]
+        assert states[sid] in ("open", "completed", "failed")
 
 
 class TestConcurrentSessions:

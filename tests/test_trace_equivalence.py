@@ -233,9 +233,9 @@ class TestTreeGrowth:
         ref = _ReferenceForest(n_estimators=8, seed=5).fit(X, y)
         fast = RandomForestRegressor(n_estimators=8, seed=5).fit(X, y)
         mu_r, sd_r = ref.predict_with_uncertainty(pool[rows])
-        mu_f, sd_f = fast.predict_with_uncertainty_pool(pool, rows)
+        mu_f, sd_f = fast.predict_with_uncertainty_pool(DataPool(pool), rows)
         assert mu_r.tobytes() == mu_f.tobytes() and sd_r.tobytes() == sd_f.tobytes()
-        assert fast.predict_pool(pool, rows).tobytes() == mu_r.tobytes()
+        assert fast.predict_pool(DataPool(pool), rows).tobytes() == mu_r.tobytes()
 
     def test_whole_forest_growth_bit_identical(self, monkeypatch):
         """The one-call C forest grower against the numpy growers over 520
@@ -300,14 +300,15 @@ class TestForestInference:
     ):
         X, y = _random_problem(7)
         pool = _random_problem(8, n=400)[0]
+        data_pool = DataPool(pool)
         r = np.random.default_rng(0)
         fast = RandomForestRegressor(n_estimators=8, seed=4, uncertainty=uncertainty).fit(X, y)
         rows = np.sort(r.choice(400, size=350, replace=False))
         for step in range(4):
-            mu_c, sd_c = fast.predict_with_uncertainty_pool(pool, rows)
+            mu_c, sd_c = fast.predict_with_uncertainty_pool(data_pool, rows)
             mu_p, sd_p = fast.predict_with_uncertainty(pool[rows])
             assert (mu_c == mu_p).all() and (sd_c == sd_p).all()
-            assert (fast.predict_pool(pool, rows) == fast.predict(pool[rows])).all()
+            assert (fast.predict_pool(data_pool, rows) == fast.predict(pool[rows])).all()
             # Shrink the row set (pool.take semantics) and partially refresh.
             rows = rows[:: 2] if step == 1 else rows[: len(rows) - 5]
             Xn, yn = _random_problem(20 + step, n=3)
