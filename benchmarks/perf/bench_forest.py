@@ -1,16 +1,18 @@
 #!/usr/bin/env python
-"""Surrogate microbenchmarks: presorted growth, packed inference, pool cache.
+"""Surrogate microbenchmarks: kernel growth, packed inference, pool cache.
 
 Times the three layers of the packed-forest optimisation against the
 pre-optimisation reference at paper scale (500 training rows, a 7000-row
 pool, 30 trees — Section III-D) and writes the results to
 ``BENCH_forest.json``:
 
-* ``fit`` — growing the full forest: presorted (with the C kernel, one
-  call grows every tree, bootstrap draws included, presorting each
-  sample by a counting sort over dense ranks computed once per fit;
-  without it, one stable argsort per feature per tree) vs the per-node
-  argsort reference.
+* ``fit`` — growing the full forest: with the C kernel, one call grows
+  every tree, bootstrap draws included, presorting each sample by a
+  counting sort over dense ranks computed once per fit (timed as
+  ``fit_presorted``), vs the same forest with the kernel switched off,
+  which fits one reference tree per bootstrap sample with a fresh
+  argsort per node (``fit_reference``).  Without the kernel both sides
+  run the reference.
 * ``pool_scoring`` — scoring the whole pool with uncertainty: packed
   all-tree traversal vs the per-tree Python prediction loop.
 * ``cached_partial_rescore`` — re-scoring the pool after a partial
@@ -44,6 +46,7 @@ import argparse
 import json
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -105,10 +108,14 @@ def _problem(scale):
     return X, y, pool_X, rows
 
 
-def _forest(scale, presort: bool) -> RandomForestRegressor:
-    return RandomForestRegressor(
-        n_estimators=scale["n_trees"], seed=11, presort=presort
-    )
+def _forest(scale) -> RandomForestRegressor:
+    return RandomForestRegressor(n_estimators=scale["n_trees"], seed=11)
+
+
+def _fit_reference(scale, X, y) -> RandomForestRegressor:
+    """Fit as the forest does when the C kernel is unavailable."""
+    with mock.patch.object(_cgrower, "load", return_value=None):
+        return _forest(scale).fit(X, y)
 
 
 def bench(scale) -> dict:
@@ -118,13 +125,13 @@ def bench(scale) -> dict:
 
     # -- layer 1: forest growth -------------------------------------------
     t["fit_reference"], t["fit_presorted"] = best_of_pair(
-        lambda: _forest(scale, presort=False).fit(X, y),
-        lambda: _forest(scale, presort=True).fit(X, y),
+        lambda: _fit_reference(scale, X, y),
+        lambda: _forest(scale).fit(X, y),
         repeats,
     )
 
     # -- layer 2: pool scoring (cold — no cache) --------------------------
-    model = _forest(scale, presort=True).fit(X, y)
+    model = _forest(scale).fit(X, y)
 
     def score_reference():
         P = np.stack([tree.predict(pool_X) for tree in model.trees_], axis=0)
@@ -165,7 +172,7 @@ def bench(scale) -> dict:
     for n_train in LEVEL_POOL_N_TRAIN:
         Xl = r.choice(levels, size=(n_train, scale["n_features"]))
         yl = np.abs(r.normal(size=n_train)) + 0.1
-        level_model = _forest(scale, presort=True).fit(Xl, yl)
+        level_model = _forest(scale).fit(Xl, yl)
 
         def score_bitmap_cold():
             level_model._pool_cache = None

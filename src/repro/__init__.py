@@ -52,11 +52,7 @@ from repro._version import __version__
 from repro.active import ActiveLearner, LearnerConfig, LearningHistory
 from repro.forest import RandomForestRegressor, load_forest, save_forest
 from repro.gp import GaussianProcessRegressor
-from repro.metrics import (
-    cumulative_cost,
-    top_alpha_rmse,
-    uncertainty_calibration,
-)
+from repro.metrics import cumulative_cost, top_alpha_rmse
 from repro.sampling import (
     STRATEGY_NAMES,
     PWUSampling,
@@ -105,7 +101,6 @@ __all__ = [
     # metrics
     "top_alpha_rmse",
     "cumulative_cost",
-    "uncertainty_calibration",
     # workloads
     "Benchmark",
     "get_benchmark",

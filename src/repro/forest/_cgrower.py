@@ -4,7 +4,7 @@ The kernel (``_grower.c``) is a plain shared library — no Python or numpy
 headers — compiled on demand with whatever C compiler the host provides
 and driven through :mod:`ctypes`.  :meth:`Kernel.grow_forest` grows all
 of a fit's trees in one call, straight into the packed node arrays.  To
-stay bit-identical with the numpy growers the kernel reproduces four
+stay bit-identical with the reference grower the kernel reproduces four
 numpy behaviours: ``np.add.reduce``'s pairwise summation, ``np.dot``
 through the very ``cblas_ddot`` numpy calls (resolved here from numpy's
 own extension module), and, on the generator's ``bitgen_t``,
@@ -19,8 +19,9 @@ generators before handing the kernel out.
 Everything is best-effort: a missing compiler, a failed build, unwritable
 build directories, an unresolvable ``ddot``, a failed check, or the
 ``REPRO_PURE_NUMPY`` environment variable all make :func:`load` return
-``None``, and growth and traversal take the pure-numpy paths
-(bit-identical, just slower).
+``None``: the forest then grows one reference
+:class:`~repro.forest.tree.RegressionTree` per tree and traversal takes
+the numpy path (bit-identical, just slower).
 
 Build artefacts are cached under ``_cbuild/`` next to this file (or the
 system temp directory when the package is not writable), keyed by a hash

@@ -4,10 +4,10 @@
  * Python headers needed) and driven through ctypes.  repro_grow_forest
  * grows all of a fit's trees in one call, bootstrap draws included, and
  * writes them straight into the packed layout.  It must produce the same
- * bits as the numpy growers in repro/forest/tree.py driven tree by tree
- * from repro/forest/forest.py: the same node arrays and the same RNG
- * state afterwards.  It reproduces each numpy behaviour those growers
- * depend on, and _cgrower.load() checks the reproductions against numpy
+ * bits as the reference grower in repro/forest/tree.py driven tree by
+ * tree from repro/forest/forest.py: the same node arrays and the same RNG
+ * state afterwards.  It reproduces each numpy behaviour that grower
+ * depends on, and _cgrower.load() checks the reproductions against numpy
  * before it hands the kernel out:
  *
  *  - bootstrap draws replay Generator.integers(0, n, size=n), and feature

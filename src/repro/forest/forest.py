@@ -9,9 +9,9 @@ refitting all trees on the enlarged training set, refresh only a fraction.
 With the C kernel loaded, a fit grows every tree in one call, bootstrap
 draws included, straight into the packed node arrays
 (:meth:`~repro.forest._cgrower.Kernel.grow_forest`), and ``trees_`` is a
-read-only view sliced from them on first access; without it, or with
-``presort=False``, a Python loop fits one :class:`RegressionTree` per
-bootstrap sample and the packed form is built from those on first use.
+read-only view sliced from them on first access; without it, a Python
+loop fits one reference :class:`RegressionTree` per bootstrap sample and
+the packed form is built from those on first use.
 Both paths check the data and the tree hyper-parameters before changing
 any state or drawing from the generator, consume the generator
 identically and give the same node arrays.
@@ -88,10 +88,6 @@ class RandomForestRegressor:
         ``"total_variance"`` (adds within-leaf variance).
     seed:
         Anything :func:`repro.rng.as_generator` accepts.
-    presort:
-        Grow with the presorted splitter (default; the one-call C kernel
-        when it is loaded) or the per-node argsort reference path
-        (trace-equivalent, slower).
     """
 
     def __init__(
@@ -104,7 +100,6 @@ class RandomForestRegressor:
         bootstrap: bool = True,
         uncertainty: str = "across_trees",
         seed=None,
-        presort: bool = True,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -117,14 +112,13 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.uncertainty = uncertainty
-        self.presort = presort
         self.rng = as_generator(seed)
         #: Feature count of the training data; ``None`` until fitted.
         self.n_features_: int | None = None
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
         # The fitted ensemble: the packed form, per-tree objects, or both.
-        # The kernel grows the packed form and the numpy growers the trees;
+        # The kernel grows the packed form and the reference grower the trees;
         # each side is derived from the other on first use.
         self._packed: PackedForest | None = None
         self._trees: list[RegressionTree] | None = None
@@ -142,7 +136,6 @@ class RandomForestRegressor:
             min_samples_leaf=self.min_samples_leaf,
             max_features=self.max_features,
             rng=self.rng,
-            presort=self.presort,
         )
 
     def _fit_one_tree(self, X: np.ndarray, y: np.ndarray) -> RegressionTree:
@@ -160,11 +153,11 @@ class RandomForestRegressor:
         """Grow ``n_trees`` trees on validated data, drawing from ``rng``.
 
         The C kernel grows them all in one call and returns the packed
-        form; without it, or with ``presort=False``, a Python loop fits one
-        :class:`RegressionTree` at a time.  Both consume the generator
-        identically and give the same node arrays.
+        form; without it, a Python loop fits one :class:`RegressionTree` at
+        a time.  Both consume the generator identically and give the same
+        node arrays.
         """
-        kernel = _cgrower.load() if self.presort else None
+        kernel = _cgrower.load()
         if kernel is None:
             return [self._fit_one_tree(X, y) for _ in range(n_trees)]
         arrays, offsets = kernel.grow_forest(

@@ -8,9 +8,10 @@ criterion picks the threshold minimising
 Using prefix sums of ``y`` and ``y^2`` over the feature-sorted node this is
 :math:`SSE = \\sum y^2 - (\\sum y)^2 / n` per side.  The search is fully
 vectorised *across candidate features as well as thresholds*.
-:func:`best_split` argsorts the ``(n, m)`` candidate block per call; it is
-the reference the presorted growers in :mod:`repro.forest.tree` are held
-to, bit for bit.
+:func:`best_split` argsorts the ``(n, m)`` candidate block per call; the
+reference grower (:class:`~repro.forest.tree.RegressionTree`) calls it at
+every node, and the C kernel's presorted grower is held to it, bit for
+bit.
 """
 
 from __future__ import annotations

@@ -1,33 +1,22 @@
-"""Array-backed CART regression tree.
+"""Array-backed CART regression tree: the reference grower.
 
 Construction is iterative (explicit stack) to avoid recursion limits and to
 keep node bookkeeping in flat arrays; prediction descends all query rows
 through the tree simultaneously, one level per vectorised step.
 
-Growth comes in two trace-equivalent flavours selected by ``presort``:
-
-* ``presort=True`` (default) sorts each feature of the training sample
-  *once per tree* and maintains per-feature sorted index rows through
-  stable partitioning at every split, so each node pays only a gather and
-  a prefix-sum sweep.  With the C kernel (:mod:`repro.forest._cgrower`)
-  the tree grows as a one-tree forest in one call, which sorts by a
-  counting sort over dense ranks; otherwise a fused numpy loop grows it
-  from one stable argsort per feature.  A forest grows all of its trees
-  in one such call (:mod:`repro.forest.forest`).
-* ``presort=False`` is the reference grower: a fresh ``(n, m)`` argsort per
-  node (:func:`~repro.forest.splitter.best_split`).
-
-All of them consume the node RNG identically and produce bit-identical
-trees — the trace-equivalence suite (``tests/test_trace_equivalence.py``)
-pins this.
+Each node's split comes from a fresh ``(n, m)`` argsort of its samples
+(:func:`~repro.forest.splitter.best_split`).  A forest grows its trees
+with the C kernel when it is loaded, in one call that presorts each
+sample once (:mod:`repro.forest.forest`); without the kernel it fits one
+:class:`RegressionTree` per tree.  Both consume the node RNG identically
+and produce bit-identical trees — the trace-equivalence suite
+(``tests/test_trace_equivalence.py``) pins this.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.forest import _cgrower
-from repro.forest.packed import FIELDS
 from repro.forest.splitter import best_split
 
 __all__ = ["RegressionTree"]
@@ -71,11 +60,6 @@ class RegressionTree:
         count, or a float fraction.
     rng:
         Generator used for per-node feature subsampling.
-    presort:
-        Use the presorted grower (one stable argsort per feature per tree,
-        partitioned down the tree) instead of re-argsorting every node.
-        Trace-equivalent; ``False`` keeps the reference path for tests and
-        benchmarking.
     """
 
     def __init__(
@@ -85,7 +69,6 @@ class RegressionTree:
         min_samples_leaf: int = 1,
         max_features: "int | float | str | None" = None,
         rng: np.random.Generator | None = None,
-        presort: bool = True,
     ) -> None:
         if min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
@@ -98,7 +81,6 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.presort = presort
         self._fitted = False
 
     # -- configuration -----------------------------------------------------
@@ -128,11 +110,7 @@ class RegressionTree:
         X, y = check_training_data(X, y)
         n, d = X.shape
         m = self._n_split_features(d)
-        kernel = _cgrower.load() if self.presort else None
-        if kernel is not None:
-            nodes = self._grow_presorted_c(kernel, X, y, m)
-        else:
-            nodes = self._grow_lists(X, y, n, d, m)
+        nodes = self._grow_lists(X, y, n, d, m)
         self.n_features_ = d
         (
             self.feature_,
@@ -147,25 +125,9 @@ class RegressionTree:
         self._fitted = True
         return self
 
-    def _grow_presorted_c(self, kernel, X, y, m) -> tuple:
-        """Presorted growth of the whole tree in one C kernel call.
-
-        The kernel grows a one-tree forest without a bootstrap
-        (:meth:`_cgrower.Kernel.grow_forest`); with a single tree at base
-        id 0 the packed child links are the tree's own.
-        """
-        arrays, _ = kernel.grow_forest(
-            X, y, 1, False, self.rng, m, self.min_samples_leaf,
-            self.min_samples_split, self.max_depth,
-        )
-        return tuple(arrays[name] for name in FIELDS)
-
     def _grow_lists(self, X, y, n, d, m) -> tuple:
-        """Grow with a Python-driven loop into growable node lists.
-
-        Runs the presorted numpy grower, or the reference grower when
-        ``presort=False``.
-        """
+        """Grow depth-first into growable node lists, one
+        :func:`~repro.forest.splitter.best_split` per node."""
         feature: list[int] = []
         threshold: list[float] = []
         left: list[int] = []
@@ -187,51 +149,45 @@ class RegressionTree:
             return len(feature) - 1
 
         root = new_node()
-        if self.presort:
-            self._grow_presorted_numpy(
-                X, y, n, d, m, feature, threshold, left, right,
-                value, variance, count, impurity, new_node,
-            )
-        else:
-            stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
-            while stack:
-                node, idx, depth = stack.pop()
-                y_node = y[idx]
-                # Mean/variance/SSE from one pass (Σy, Σy²): this is the hot
-                # loop of forest construction, numpy reduction wrappers are
-                # too heavy here.
-                k = len(idx)
-                s = float(y_node.sum())
-                q = float(np.dot(y_node, y_node))
-                mean = s / k
-                value[node] = mean
-                variance[node] = max(q / k - mean * mean, 0.0)
-                count[node] = k
-                impurity[node] = max(q - s * s / k, 0.0)
+        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
+        while stack:
+            node, idx, depth = stack.pop()
+            y_node = y[idx]
+            # Mean/variance/SSE from one pass (Σy, Σy²): this is the hot
+            # loop of forest construction, numpy reduction wrappers are
+            # too heavy here.
+            k = len(idx)
+            s = float(y_node.sum())
+            q = float(np.dot(y_node, y_node))
+            mean = s / k
+            value[node] = mean
+            variance[node] = max(q / k - mean * mean, 0.0)
+            count[node] = k
+            impurity[node] = max(q - s * s / k, 0.0)
 
-                if (
-                    k < self.min_samples_split
-                    or (self.max_depth is not None and depth >= self.max_depth)
-                    or impurity[node] <= 1e-12
-                ):
-                    continue
+            if (
+                k < self.min_samples_split
+                or (self.max_depth is not None and depth >= self.max_depth)
+                or impurity[node] <= 1e-12
+            ):
+                continue
 
-                if m >= d:
-                    feats = np.arange(d)
-                else:
-                    feats = self.rng.choice(d, size=m, replace=False)
+            if m >= d:
+                feats = np.arange(d)
+            else:
+                feats = self.rng.choice(d, size=m, replace=False)
 
-                split = best_split(X[idx], y_node, feats, self.min_samples_leaf)
-                if split is None:
-                    continue
-                feature[node] = split.feature
-                threshold[node] = split.threshold
-                li = new_node()
-                ri = new_node()
-                left[node] = li
-                right[node] = ri
-                stack.append((li, idx[split.left_mask], depth + 1))
-                stack.append((ri, idx[~split.left_mask], depth + 1))
+            split = best_split(X[idx], y_node, feats, self.min_samples_leaf)
+            if split is None:
+                continue
+            feature[node] = split.feature
+            threshold[node] = split.threshold
+            li = new_node()
+            ri = new_node()
+            left[node] = li
+            right[node] = ri
+            stack.append((li, idx[split.left_mask], depth + 1))
+            stack.append((ri, idx[~split.left_mask], depth + 1))
 
         return (
             np.asarray(feature, dtype=np.intp),
@@ -243,169 +199,6 @@ class RegressionTree:
             np.asarray(count, dtype=np.intp),
             np.asarray(impurity, dtype=np.float64),
         )
-
-    def _grow_presorted_numpy(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        n: int,
-        d: int,
-        m: int,
-        feature: list,
-        threshold: list,
-        left: list,
-        right: list,
-        value: list,
-        variance: list,
-        count: list,
-        impurity: list,
-        new_node,
-    ) -> None:
-        """Fused pure-numpy presorted growth (fallback when C is unavailable).
-
-        The split search of :func:`~repro.forest.splitter.best_split` is
-        inlined and fused here because per-node Python/numpy call overhead
-        — not arithmetic — dominates tree growth at the paper's sample
-        sizes.  Every floating-point expression mirrors the reference
-        operand-for-operand so results match bit-for-bit; the
-        trace-equivalence suite pins this.
-
-        Layout notes: sorted blocks are feature-major ``(m, k)`` (the
-        reference uses ``(k, m)``); prefix sums run along the contiguous
-        last axis and the argmin is taken over the transposed *view* so the
-        scan order — and therefore tie-breaking — matches the reference's
-        position-major flat argmin exactly.  ``order`` carries ``d + 1``
-        rows: one per feature in ascending-value order plus a final row
-        holding the node's sample indices in ascending order (what the
-        reference maintains as ``idx``); one boolean take partitions all of
-        them at once.
-        """
-        XT = np.ascontiguousarray(X.T)
-        XTflat = XT.reshape(-1)
-        # One stable argsort per feature for the whole sample; row f lists
-        # all sample indices in ascending X[:, f] order (ties by index —
-        # exactly what the reference's per-node stable argsorts yield,
-        # since node index arrays stay ascending under partitioning).
-        order0 = np.concatenate(
-            [
-                np.argsort(XT, axis=1, kind="stable"),
-                np.arange(n, dtype=np.intp)[None, :],
-            ]
-        )
-        in_left = np.zeros(n, dtype=bool)  # reusable partition scratch
-        featbase = np.arange(d, dtype=np.intp) * n
-        n_left_sizes = np.arange(n + 1, dtype=np.float64)
-        feats_all = np.arange(d)
-        rng_choice = self.rng.choice
-        msl = self.min_samples_leaf
-        mss = self.min_samples_split
-        max_depth = self.max_depth
-        dp1 = d + 1
-        INF = np.inf
-
-        stack: list[tuple[int, np.ndarray, int]] = [(0, order0, 0)]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            node, order, depth = pop()
-            idx = order[d]
-            y_node = y[idx]
-            k = y_node.shape[0]
-            s = float(y_node.sum())
-            q = float(np.dot(y_node, y_node))
-            mean = s / k
-            value[node] = mean
-            var = q / k - mean * mean
-            variance[node] = var if var > 0.0 else 0.0
-            count[node] = k
-            imp = q - s * s / k
-            if imp < 0.0:
-                imp = 0.0
-            impurity[node] = imp
-
-            if (
-                k < mss
-                or (max_depth is not None and depth >= max_depth)
-                or imp <= 1e-12
-            ):
-                continue
-
-            feats = feats_all if m >= d else rng_choice(d, size=m, replace=False)
-
-            lo = msl
-            hi = k - msl
-            if lo > hi:
-                continue
-            hi1 = hi + 1
-
-            sub = order[feats]  # (m, k) sample indices, feature-major
-            Ys = y[sub]
-            Fs = XTflat[sub + featbase[feats][:, None]]
-            csum = Ys.cumsum(axis=1)
-            csq = (Ys * Ys).cumsum(axis=1)
-            # Candidate split positions i in [lo, hi]; left stats use
-            # column i-1 of the prefixes.  SSE per side from Σy, Σy²:
-            # combined = (q_l - s_l²/n_l) + (q_r - s_r²/n_r).
-            s_l = csum[:, lo - 1 : hi]
-            q_l = csq[:, lo - 1 : hi]
-            n_l = n_left_sizes[lo:hi1]
-            a = s_l * s_l
-            a /= n_l
-            a = np.subtract(q_l, a, out=a)
-            b = csum[:, -1:] - s_l
-            b *= b
-            b /= k - n_l
-            c = csq[:, -1:] - q_l
-            c -= b
-            a += c  # combined SSE, (m, n_candidates)
-            # Positions are valid only where the sorted value changes; an
-            # all-invalid block leaves `best` at inf, handled below.
-            valid = Fs[:, lo:hi1] != Fs[:, lo - 1 : hi]
-            a[~valid] = INF
-            flat = int(a.T.argmin())  # transposed view: reference scan order
-            pos, col = divmod(flat, m)
-            best = a[col, pos]
-            if best == INF:
-                continue
-            ts = csum[col, -1]
-            node_sse = float(csq[col, -1] - ts**2 / k)
-            gain = node_sse - float(best)
-            if gain <= 1e-12:
-                continue
-
-            i = lo + pos
-            lo_val = Fs[col, i - 1]
-            hi_val = Fs[col, i]
-            thr = 0.5 * (lo_val + hi_val)
-            # Guard against midpoints collapsing onto the upper value for
-            # adjacent floats: the left side must satisfy
-            # `value <= threshold < upper value`.
-            if not (lo_val <= thr < hi_val):
-                thr = lo_val
-            thr = float(thr)
-            f = int(feats[col])
-
-            mask = XT[f, idx] <= thr
-            n_l_count = int(mask.sum())
-            # Mirrors best_split's degenerate-threshold guard.
-            if n_l_count == 0 or n_l_count == k:
-                continue
-            feature[node] = f
-            threshold[node] = thr
-            # Stable partition of all d+1 index rows at once: each row
-            # keeps exactly n_l_count left members, so the boolean take
-            # reshapes back into (d+1, child_size) blocks.
-            in_left[idx] = mask
-            take = in_left[order]
-            order_l = order[take].reshape(dp1, n_l_count)
-            order_r = order[~take].reshape(dp1, k - n_l_count)
-            in_left[idx] = False
-            li = new_node()
-            ri = new_node()
-            left[node] = li
-            right[node] = ri
-            push((li, order_l, depth + 1))
-            push((ri, order_r, depth + 1))
 
     # -- inference ------------------------------------------------------------
     def _check_query(self, X: np.ndarray) -> np.ndarray:

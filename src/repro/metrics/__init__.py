@@ -6,7 +6,6 @@ from repro.metrics.cost import (
     cumulative_cost,
     speedup_at_level,
 )
-from repro.metrics.calibration import CalibrationReport, uncertainty_calibration
 
 __all__ = [
     "rmse",
@@ -14,6 +13,4 @@ __all__ = [
     "cumulative_cost",
     "cost_to_reach",
     "speedup_at_level",
-    "CalibrationReport",
-    "uncertainty_calibration",
 ]

@@ -216,15 +216,18 @@ class SessionSpec:
         the ``POST /v1/sessions`` with a 400 ``unknown_workload`` — with
         a did-you-mean for registry names and the typed envelope
         diagnosis for files — instead of surfacing as a 500 ``KeyError``
-        on the first suggest/measure call.
+        on the first suggest/measure call.  It resolves through the
+        sessions' benchmark memo, so an envelope is read once per
+        process, not once per spec.
         """
         from repro.envelope import EnvelopeError
         from repro.sampling import available_strategies
         from repro.surrogate import available_surrogates
-        from repro.workloads import get_benchmark
+        # Imported here: repro.service.session imports this module.
+        from repro.service.session import cached_benchmark
 
         try:
-            get_benchmark(self.benchmark)
+            cached_benchmark(self.benchmark)
         except KeyError as exc:
             # NameRegistry's KeyError already carries a closest-match hint.
             raise ProtocolError(400, "unknown_workload", str(exc.args[0])) from exc

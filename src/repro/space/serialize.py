@@ -61,7 +61,9 @@ def space_to_dict(space: ParameterSpace) -> dict:
     """The space as a JSON-safe dict (constraints recorded by name only).
 
     Raises :class:`ValueError` if any parameter kind or categorical value
-    does not survive a JSON round trip.
+    does not survive a JSON round trip: one JSON cannot write, or one it
+    reads back as something else (a tuple comes back a list, a dict's
+    integer keys come back strings).
     """
     out = {
         "schema": SPACE_SCHEMA_VERSION,
@@ -69,12 +71,18 @@ def space_to_dict(space: ParameterSpace) -> dict:
         "constraints": [c.name for c in space.constraints],
     }
     try:
-        json.dumps(out)
-    except TypeError as exc:
+        same = json.loads(json.dumps(out)) == out
+    except (TypeError, ValueError) as exc:
         raise ValueError(
             f"parameter space is not JSON-serializable: {exc} "
             "(categorical values must be plain JSON types)"
         ) from exc
+    if not same:
+        raise ValueError(
+            "parameter space does not survive a JSON round trip "
+            "(categorical values must be plain JSON types: no tuples, "
+            "no dicts with non-string keys)"
+        )
     return out
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -21,15 +23,29 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@contextlib.contextmanager
+def without_kernel():
+    """Run the block as if the C kernel had failed to load: inside it
+    ``_cgrower.load()`` returns ``None``, so forests grow reference trees
+    and traverse with numpy; on exit the loader's state is restored."""
+    saved = _cgrower._lib, _cgrower._attempted
+    _cgrower._lib, _cgrower._attempted = None, True
+    try:
+        yield
+    finally:
+        _cgrower._lib, _cgrower._attempted = saved
+
+
 @pytest.fixture(params=["c-kernel", "numpy-fallback"])
-def kernel_mode(request, monkeypatch):
+def kernel_mode(request):
     """Run each test against both the C kernel and the pure-numpy path."""
     if request.param == "numpy-fallback":
-        monkeypatch.setattr(_cgrower, "_lib", None)
-        monkeypatch.setattr(_cgrower, "_attempted", True)
-    elif _cgrower.load() is None:
+        with without_kernel():
+            yield request.param
+        return
+    if _cgrower.load() is None:
         pytest.skip("C kernel unavailable in this environment")
-    return request.param
+    yield request.param
 
 
 @pytest.fixture(scope="session")

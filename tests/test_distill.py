@@ -19,7 +19,16 @@ from hypothesis import strategies as st
 import repro.api
 from repro.envelope import EnvelopeError
 from repro.noise import MeasurementProtocol
-from repro.space import space_from_dict, space_to_dict
+from repro.space import (
+    BooleanParameter,
+    CategoricalParameter,
+    IntegerParameter,
+    OrdinalParameter,
+    ParameterSpace,
+    space_from_dict,
+    space_to_dict,
+)
+from repro.space.serialize import MAX_INTEGER_VALUES
 from repro.workloads import (
     SurrogateBenchmark,
     distill_workload,
@@ -303,7 +312,91 @@ class TestMutatedEnvelopes:
         assert y.shape == (4,) and y.dtype == np.float64
 
 
+#: The scalars JSON itself has.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+#: Categorical values: JSON scalars, lists of them (which JSON keeps),
+#: and tuples and integer-keyed dicts (which it reads back as lists and
+#: string-keyed dicts).
+_CATEGORIES = st.one_of(
+    _JSON_SCALARS,
+    st.lists(_JSON_SCALARS, max_size=3),
+    st.tuples(_JSON_SCALARS, _JSON_SCALARS),
+    st.dictionaries(
+        st.one_of(st.text(max_size=2), st.integers(-2, 2)), _JSON_SCALARS,
+        max_size=2,
+    ),
+)
+
+
+@st.composite
+def _spaces(draw):
+    """A space of one to five parameters of any kind."""
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1,
+                          max_size=5, unique=True))
+    params = []
+    for name in names:
+        kind = draw(st.sampled_from(["boolean", "categorical", "integer", "ordinal"]))
+        if kind == "boolean":
+            params.append(BooleanParameter(name))
+        elif kind == "categorical":
+            categories = draw(st.lists(_CATEGORIES, min_size=1, max_size=4,
+                                       unique_by=repr))
+            params.append(CategoricalParameter(name, categories))
+        elif kind == "integer":
+            low = draw(st.integers(-(2**40), 2**40))
+            step = draw(st.integers(1, 1000))
+            n = draw(st.integers(1, MAX_INTEGER_VALUES))
+            params.append(IntegerParameter(name, low, low + (n - 1) * step, step))
+        else:
+            values = draw(st.lists(
+                st.one_of(st.integers(-(2**53), 2**53),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=5, unique_by=float,
+            ))
+            params.append(OrdinalParameter(name, sorted(values)))
+    return ParameterSpace(params)
+
+
+def _same(a, b) -> bool:
+    """Equal, with the same types at every level."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            _same(ka, kb) and _same(a[ka], b[kb]) for ka, kb in zip(a, b)
+        )
+    return a == b
+
+
 class TestSpaceSerialization:
+    @settings(max_examples=150, deadline=None)
+    @given(space=_spaces())
+    def test_json_round_trip_keeps_every_value_or_refuses(self, space):
+        """``space_to_dict`` refuses a space, or the JSON round trip gives
+        back the same names, kinds and values, types included; a space
+        whose values are JSON scalars and lists of them is never refused."""
+        try:
+            payload = space_to_dict(space)
+        except ValueError:
+            assert any(
+                isinstance(v, (tuple, dict))
+                for p in space.parameters for v in p.values
+            )
+            return
+        rebuilt = space_from_dict(json.loads(json.dumps(payload)))
+        assert rebuilt.names == space.names
+        for p, q in zip(space.parameters, rebuilt.parameters):
+            assert type(q) is type(p)
+            assert _same(q.values, p.values), p.name
+
     def test_every_benchmark_space_round_trips(self):
         for name in ("atax", "mm", "kripke", "hypre", "tensor"):
             space = get_benchmark(name).space

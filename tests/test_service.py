@@ -882,6 +882,28 @@ class TestDistilledWorkloadSessions:
         assert data["session"]["benchmark"] == f"surrogate:{envelope_path}"
         assert data["session"]["n_labeled"] > 0
 
+    def test_envelope_is_read_once_across_creates_and_a_reboot(
+        self, tmp_path, envelope_path, monkeypatch
+    ):
+        import repro.workloads.surrogate as surrogate_mod
+
+        # A name of its own, so no earlier test has resolved it already.
+        path = tmp_path / "counted.npz"
+        shutil.copyfile(envelope_path, path)
+        load = surrogate_mod.load_distilled
+        calls = []
+        monkeypatch.setattr(
+            surrogate_mod, "load_distilled", lambda f: calls.append(f) or load(f)
+        )
+        fields = dict(SPEC_FIELDS, benchmark=f"surrogate:{path}")
+        driver = AppDriver(tmp_path / "daemon")
+        for _ in range(3):
+            status, data = driver.call("POST", "/v1/sessions", fields)
+            assert status == 201, data
+        rebooted = SessionRegistry(tmp_path / "daemon")
+        assert len(rebooted.list()) == 3
+        assert len(calls) == 1
+
     def test_unreadable_envelope_is_a_400_not_a_500(self, tmp_path):
         junk = tmp_path / "junk.npz"
         junk.write_bytes(b"not an archive")

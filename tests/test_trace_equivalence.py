@@ -1,11 +1,12 @@
 """Trace-equivalence: the fast surrogate path is bit-identical to the reference.
 
-The presorted/C tree grower, the packed-forest traversal, the pool-score
+The C kernel's forest grower, the packed-forest traversal, the pool-score
 cache, and the learner's selection-stat reuse are all pure optimisations:
 they must produce the *same bits* as the pre-optimisation reference —
 same splits, same RNG consumption, same predictions, same selected pool
 indices over a full ``ActiveLearner.run``.  These tests pin that, for both
-the C kernel and the pure-numpy fallback.
+the C kernel and the pure-numpy fallback; without the kernel the forest
+grows reference trees itself, so the growth tests need the kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.forest.uncertainty import across_tree_std, total_variance_std
 from repro.metrics import top_alpha_rmse
 from repro.sampling import make_strategy
 from repro.space import DataPool
+from tests.conftest import without_kernel
 
 _TREE_FIELDS = (
     "feature_",
@@ -43,9 +45,9 @@ class _ReferenceForest(RandomForestRegressor):
     predict_with_uncertainty_pool = None
     predict_pool = None
 
-    def __init__(self, **kwargs) -> None:
-        kwargs.setdefault("presort", False)
-        super().__init__(**kwargs)
+    def _grow(self, *args):
+        with without_kernel():
+            return super()._grow(*args)
 
     def per_tree_predictions(self, X: np.ndarray) -> np.ndarray:
         self._require_fitted()
@@ -77,12 +79,15 @@ def _random_problem(seed, n=180, d=7):
 
 
 def _assert_same_growth(X, y, seed, **params):
-    """Presorted growth matches the reference: all node arrays, bit for bit,
-    and the RNG state afterwards."""
+    """The forest's grower, on one tree without a bootstrap, matches the
+    reference tree: all node arrays, bit for bit, and the RNG state
+    afterwards."""
     ra = np.random.default_rng(seed + 99)
     rb = np.random.default_rng(seed + 99)
-    ref = RegressionTree(rng=ra, presort=False, **params).fit(X, y)
-    fast = RegressionTree(rng=rb, presort=True, **params).fit(X, y)
+    ref = RegressionTree(rng=ra, **params).fit(X, y)
+    fast = RandomForestRegressor(
+        n_estimators=1, bootstrap=False, seed=rb, **params
+    ).fit(X, y).trees_[0]
     for field in _TREE_FIELDS:
         a, b = getattr(ref, field), getattr(fast, field)
         assert a.shape == b.shape
@@ -153,9 +158,15 @@ _EDGE_CASES = {
 }
 
 
+#: The growth tests compare the kernel with the reference grower, so they
+#: run in ``c-kernel`` mode only (and skip without the kernel).
+_KERNEL_ONLY = pytest.mark.parametrize("kernel_mode", ["c-kernel"], indirect=True)
+
+
 class TestTreeGrowth:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("max_features", [None, "third", "sqrt"])
+    @_KERNEL_ONLY
     def test_presorted_growth_bit_identical(self, kernel_mode, seed, max_features):
         X, y = _random_problem(seed)
         _assert_same_growth(
@@ -164,6 +175,7 @@ class TestTreeGrowth:
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+    @_KERNEL_ONLY
     def test_edge_case_growth_bit_identical(self, kernel_mode, case, seed):
         params = dict(_EDGE_CASES[case])
         n, d = params.pop("n", 180), params.pop("d", 7)
@@ -237,9 +249,9 @@ class TestTreeGrowth:
         assert mu_r.tobytes() == mu_f.tobytes() and sd_r.tobytes() == sd_f.tobytes()
         assert fast.predict_pool(DataPool(pool), rows).tobytes() == mu_r.tobytes()
 
-    def test_whole_forest_growth_bit_identical(self, monkeypatch):
-        """The one-call C forest grower against the numpy growers over 520
-        random forests: packed node arrays, offsets and generator state
+    def test_whole_forest_growth_bit_identical(self):
+        """The one-call C forest grower against the reference grower over
+        520 random forests: packed node arrays, offsets and generator state
         after fit() and again after a partial update()."""
         if _cgrower.load() is None:
             pytest.skip("C kernel unavailable in this environment")
@@ -249,9 +261,7 @@ class TestTreeGrowth:
             k = int(r.integers(1, 4))
             Xn, yn = X[:k] + 0.5, y[:k] * 1.5
             fraction = float(r.uniform(0.05, 1.0))
-            with monkeypatch.context() as m:
-                m.setattr(_cgrower, "_lib", None)
-                m.setattr(_cgrower, "_attempted", True)
+            with without_kernel():
                 ref = RandomForestRegressor(**params).fit(X, y)
                 ref_packed = ref.packed()
                 ref_state = ref.rng.bit_generator.state
@@ -265,6 +275,7 @@ class TestTreeGrowth:
             _assert_same_packed(ref_updated, fast.packed(), params)
             assert ref.rng.bit_generator.state == fast.rng.bit_generator.state
 
+    @_KERNEL_ONLY
     def test_forest_growth_consumes_rng_identically(self, kernel_mode):
         X, y = _random_problem(3)
         ref = _ReferenceForest(n_estimators=7, seed=11).fit(X, y)
