@@ -50,7 +50,7 @@ Layers (bottom-up):
 
 from repro._version import __version__
 from repro.active import ActiveLearner, LearnerConfig, LearningHistory
-from repro.forest import RandomForestRegressor, load_forest, save_forest
+from repro.forest import RandomForestRegressor
 from repro.gp import GaussianProcessRegressor
 from repro.metrics import cumulative_cost, top_alpha_rmse
 from repro.sampling import (
@@ -70,6 +70,7 @@ from repro.space import (
     OrdinalParameter,
     ParameterSpace,
 )
+from repro.surrogate import load_surrogate, save_surrogate
 from repro.workloads import Benchmark, all_benchmarks, get_benchmark
 
 __all__ = [
@@ -84,8 +85,8 @@ __all__ = [
     # models
     "RandomForestRegressor",
     "GaussianProcessRegressor",
-    "save_forest",
-    "load_forest",
+    "save_surrogate",
+    "load_surrogate",
     # strategies
     "STRATEGY_NAMES",
     "register_strategy",

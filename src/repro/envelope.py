@@ -1,11 +1,11 @@
-"""Typed loading of ``.npz`` envelopes (forests, surrogates, workloads).
+"""Typed loading of ``.npz`` envelopes (surrogates and workloads).
 
 Every persistence format in this package is a flat ``.npz`` archive with
-a schema stamp: the forest format (:mod:`repro.forest.serialize`), the
-surrogate envelope (:mod:`repro.surrogate.serialize`), and the distilled
-workload envelope (:mod:`repro.workloads.surrogate`).  All three loaders
-route file I/O through :func:`read_npz_payload`, so a truncated download,
-a stray text file, or an archive missing its schema keys surfaces as one
+a schema stamp: the surrogate envelope (:mod:`repro.surrogate.serialize`),
+which carries every model family, and the distilled workload envelope
+(:mod:`repro.workloads.surrogate`), a superset of it.  Both loaders route
+file I/O through :func:`read_npz_payload`, so a truncated download, a
+stray text file, or an archive missing its schema keys surfaces as one
 typed, actionable :class:`EnvelopeError` — naming the file and the
 expected schema — instead of leaking ``zipfile.BadZipFile`` / ``KeyError``
 internals to callers (the tuning service turns it into a clean 400).
@@ -23,7 +23,6 @@ import numpy as np
 __all__ = [
     "EnvelopeError",
     "read_npz_payload",
-    "require_keys",
     "describe_file",
     "is_finite_number",
 ]
@@ -103,16 +102,3 @@ def read_npz_payload(file, expected: str) -> "dict[str, np.ndarray]":
             source, expected, f"corrupt or foreign file ({exc})"
         ) from exc
 
-
-def require_keys(
-    payload: "dict[str, np.ndarray]", keys, source: str, expected: str
-) -> None:
-    """Raise :class:`EnvelopeError` naming any schema key absent from ``payload``."""
-    missing = [k for k in keys if k not in payload]
-    if missing:
-        raise EnvelopeError(
-            source,
-            expected,
-            f"archive is missing required key(s) {', '.join(missing)} "
-            f"(present: {', '.join(sorted(payload)) or 'none'})",
-        )

@@ -11,7 +11,8 @@ subpackage implements the full stack:
 * :mod:`repro.forest.tree` — array-backed regression trees with iterative
   construction and vectorised prediction,
 * :mod:`repro.forest.forest` — bagging ensemble with random feature
-  subspaces, predictive mean / uncertainty, and warm partial updates,
+  subspaces, predictive mean / uncertainty, warm partial updates, and the
+  surrogate protocol's packed (format 2) payload,
 * :mod:`repro.forest.packed` — all trees concatenated into one SoA,
   traversed for every (row, tree) lane in a single vectorised pass,
 * :mod:`repro.forest.uncertainty` — across-tree std (the paper's estimator)
@@ -23,13 +24,10 @@ from repro.forest.tree import RegressionTree
 from repro.forest.packed import PackedForest
 from repro.forest.forest import RandomForestRegressor
 from repro.forest.importance import permutation_importance
-from repro.forest.serialize import load_forest, save_forest
 
 __all__ = [
     "RegressionTree",
     "PackedForest",
     "RandomForestRegressor",
     "permutation_importance",
-    "save_forest",
-    "load_forest",
 ]

@@ -30,6 +30,10 @@ partial ``update()`` only re-scores the refreshed trees.  The
 reads the cached matrix through the requested rows without copying them;
 the numpy fallback copies and reduces.  All paths are bit-identical to the
 per-tree reference — ``tests/test_trace_equivalence.py`` pins this.
+
+The forest is itself a :class:`~repro.surrogate.Surrogate` (kind
+``"forest"``).  Its :meth:`serialize` payload (format 2) is the packed form,
+so a loaded forest predicts without rebuilding anything.
 """
 
 from __future__ import annotations
@@ -37,13 +41,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.forest import _cgrower
-from repro.forest.packed import PackedForest
+from repro.forest.packed import FIELDS, PackedForest
 from repro.forest.tree import RegressionTree, check_training_data
 from repro.forest.uncertainty import across_tree_std, total_variance_std
 from repro.rng import as_generator
+from repro.surrogate.base import Surrogate
 from repro.telemetry import counters, span
 
 __all__ = ["RandomForestRegressor"]
+
+#: The only payload version :meth:`RandomForestRegressor.deserialize` reads.
+_FORMAT_VERSION = 2
 
 
 def _across_trees(
@@ -69,7 +77,7 @@ def _across_trees(
     return P.mean(axis=0), (across_tree_std(P) if std else None)
 
 
-class RandomForestRegressor:
+class RandomForestRegressor(Surrogate):
     """Random forest for regression with per-prediction uncertainty.
 
     Parameters
@@ -89,6 +97,11 @@ class RandomForestRegressor:
     seed:
         Anything :func:`repro.rng.as_generator` accepts.
     """
+
+    kind = "forest"
+    #: Each row's traversal and across-tree reduction read only that row;
+    #: both reductions keep tree order from two columns up.
+    row_wise = True
 
     def __init__(
         self,
@@ -384,6 +397,43 @@ class RandomForestRegressor:
         if self._y is None:
             raise RuntimeError("this forest holds no training data (loaded from disk?)")
         return self._y
+
+    # -- persistence -------------------------------------------------------
+    def serialize(self) -> dict[str, np.ndarray]:
+        """The format-2 payload: the packed node arrays and offsets."""
+        if self.n_features_ is None:
+            raise ValueError("cannot save an unfitted forest")
+        packed = self.packed()
+        payload: dict[str, np.ndarray] = {
+            "format_version": np.asarray(_FORMAT_VERSION),
+            "n_features": np.asarray(packed.n_features),
+            "uncertainty": np.asarray(self.uncertainty),
+            "offsets": packed.offsets,
+        }
+        for name, arr in packed.arrays().items():
+            payload[f"packed_{name}"] = arr
+        return payload
+
+    @classmethod
+    def deserialize(cls, payload: dict[str, np.ndarray]) -> "RandomForestRegressor":
+        """Rebuild a forest from a format-2 payload; ``ValueError`` for any
+        other version or for node arrays :class:`PackedForest` refuses."""
+        version = int(payload["format_version"])
+        uncertainty = str(payload["uncertainty"])
+        if version != _FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported forest format version {version} "
+                f"(this build reads only version {_FORMAT_VERSION})"
+            )
+        packed = PackedForest(
+            *(np.asarray(payload[f"packed_{name}"]) for name in FIELDS),
+            offsets=np.asarray(payload["offsets"]),
+            n_features=int(payload["n_features"]),
+        )
+        model = cls(n_estimators=packed.n_trees, uncertainty=uncertainty)
+        model._packed = packed
+        model.n_features_ = packed.n_features
+        return model
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "unfitted" if self.n_features_ is None else f"{self.n_estimators} trees"

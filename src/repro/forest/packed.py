@@ -20,9 +20,10 @@ is bit-identical to the per-tree reference — the trace-equivalence suite
 pins this.
 
 The packed form is also the serialisation format (see
-:mod:`repro.forest.serialize`): eight arrays plus the offsets vector
-round-trip the whole ensemble, and :meth:`PackedForest.to_trees` slices
-individual :class:`~repro.forest.tree.RegressionTree` objects back out.
+:meth:`~repro.forest.forest.RandomForestRegressor.serialize`): eight arrays
+plus the offsets vector round-trip the whole ensemble, and
+:meth:`PackedForest.to_trees` slices individual
+:class:`~repro.forest.tree.RegressionTree` objects back out.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ z-scored per column and targets standardised internally.  Hyper-parameters
 ``(log ℓ, log σ_f, log σ_n)`` maximise the log marginal likelihood via
 L-BFGS-B with analytic gradients, optionally from several restarts.
 
-The class intentionally mirrors :class:`repro.forest.RandomForestRegressor`'s
-inference interface (``fit`` / ``predict`` / ``predict_with_uncertainty``)
-so either model can drive Algorithm 1.
+The class is a :class:`~repro.surrogate.Surrogate` (``kind`` ``"gp"``),
+like :class:`repro.forest.RandomForestRegressor`, so either model can
+drive Algorithm 1 and be saved with :func:`repro.surrogate.save_surrogate`.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from scipy import linalg, optimize
 
 from repro.gp.kernels import squared_distances
 from repro.rng import as_generator
+from repro.surrogate.base import Surrogate
 
 __all__ = ["GaussianProcessRegressor"]
 
 _JITTER = 1e-10
 
 
-class GaussianProcessRegressor:
+class GaussianProcessRegressor(Surrogate):
     """Exact GP regression (RBF + Gaussian noise).
 
     Parameters
@@ -43,6 +44,27 @@ class GaussianProcessRegressor:
     seed:
         Stream for restart perturbations.
     """
+
+    kind = "gp"
+    # Not row-wise: the mean's ``Ks @ alpha`` goes through BLAS dgemv,
+    # whose rounding of one row can depend on how many rows the query has.
+
+    #: Scalar state mirrored to/from the payload (name → attribute).
+    _SCALARS = (
+        ("y_mean", "_y_mean"),
+        ("y_scale", "_y_scale"),
+        ("lengthscale", "lengthscale_"),
+        ("signal_variance", "signal_variance_"),
+        ("noise_variance", "noise_variance_"),
+    )
+    _ARRAYS = (
+        ("x_mean", "_x_mean"),
+        ("x_scale", "_x_scale"),
+        ("Z", "_Z"),
+        ("alpha", "_alpha"),
+        ("L", "_L"),
+        ("y", "_y"),
+    )
 
     def __init__(
         self,
@@ -210,6 +232,33 @@ class GaussianProcessRegressor:
             + float(np.log(np.diag(self._L)).sum())
             + 0.5 * n * np.log(2.0 * np.pi)
         )
+
+    # -- persistence -------------------------------------------------------
+    def serialize(self) -> dict[str, np.ndarray]:
+        """The fitted state: standardisation, hyper-parameters and solve."""
+        if not self._fitted:
+            raise ValueError("cannot serialize an unfitted GP surrogate")
+        payload = {"log_targets": np.asarray(self.log_targets)}
+        for key, attr in self._SCALARS + self._ARRAYS:
+            payload[key] = np.asarray(getattr(self, attr))
+        return payload
+
+    @classmethod
+    def deserialize(
+        cls, payload: dict[str, np.ndarray]
+    ) -> "GaussianProcessRegressor":
+        """Rebuild a fitted GP that predicts but does not re-optimise."""
+        gp = cls(
+            n_restarts=0,
+            optimize_hypers=False,
+            log_targets=bool(payload["log_targets"]),
+        )
+        for key, attr in cls._SCALARS:
+            setattr(gp, attr, float(payload[key]))
+        for key, attr in cls._ARRAYS:
+            setattr(gp, attr, np.asarray(payload[key], dtype=np.float64))
+        gp._fitted = True
+        return gp
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self._fitted:

@@ -170,6 +170,11 @@ class ServiceApp:
             raise ProtocolError(
                 400, "bad_json", f"request body is not valid JSON: {exc}"
             ) from exc
+        except RecursionError:
+            # A few KB of nested brackets exhaust the parser's stack.
+            raise ProtocolError(
+                400, "bad_json", "request body is nested too deeply"
+            ) from None
         if not isinstance(payload, dict):
             raise ProtocolError(
                 400, "bad_json", "request body must be a JSON object"

@@ -177,10 +177,10 @@ class Client:
     def model(self, session_id: str):
         """The fitted surrogate, deserialized and ready to predict.
 
-        Returns the :class:`~repro.surrogate.Surrogate` adapter matching
-        the session's family (``X-Repro-Surrogate`` header); the default
-        forest arrives as a :class:`~repro.surrogate.ForestSurrogate`
-        wrapping the same packed forest the daemon fitted.
+        Returns the :class:`~repro.surrogate.Surrogate` matching the
+        session's family (``X-Repro-Surrogate`` header); the default forest
+        arrives as a :class:`~repro.forest.RandomForestRegressor` holding
+        the same packed forest the daemon fitted.
         """
         return load_surrogate(io.BytesIO(self.model_bytes(session_id)))
 

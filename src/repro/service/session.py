@@ -448,8 +448,8 @@ class Session:
 
         The bytes are whatever :func:`repro.surrogate.save_surrogate`
         writes for the session's surrogate family — for the default
-        forest that is the PackedForest format v2 payload (plus the kind
-        stamp), which :func:`repro.forest.load_forest` still reads.
+        forest that is the PackedForest format v2 payload plus the kind
+        stamp, which :func:`repro.surrogate.load_surrogate` reads back.
         Raises :class:`ProtocolError` (409) while no model exists yet
         (before the cold-start report lands).
         """

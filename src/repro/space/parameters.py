@@ -17,6 +17,8 @@ Encoding convention
 
 from __future__ import annotations
 
+import math
+import numbers
 from abc import ABC, abstractmethod
 from typing import Any, Sequence
 
@@ -134,8 +136,21 @@ class IntegerParameter(Parameter):
         return self._values[idx]
 
 
+def _is_finite_real(value: Any) -> bool:
+    """Whether ``value`` is a real number, not a bool, whose float is finite."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 class OrdinalParameter(Parameter):
     """An explicit ordered list of numeric values.
+
+    Every value must encode: a real number, not a bool, whose float is
+    finite.
 
     Example: SPAPT cache-tile sizes ``1, 16, 32, 64, 128, 256, 512``.
     """
@@ -145,6 +160,11 @@ class OrdinalParameter(Parameter):
         if len(values) == 0:
             raise ValueError(f"ordinal parameter {name!r} needs at least one value")
         vals = tuple(values)
+        if not all(map(_is_finite_real, vals)):
+            raise ValueError(
+                f"ordinal parameter {name!r} values must be real numbers "
+                "(not bools) with a finite float"
+            )
         if len(set(vals)) != len(vals):
             raise ValueError(f"ordinal parameter {name!r} has duplicate values")
         if list(vals) != sorted(vals):
@@ -175,7 +195,8 @@ class CategoricalParameter(Parameter):
         if len(categories) == 0:
             raise ValueError(f"categorical parameter {name!r} needs at least one category")
         cats = tuple(categories)
-        if len(set(map(repr, cats))) != len(cats):
+        # index_of finds a category by ==, so no two may compare equal.
+        if any(cats.index(c) != i for i, c in enumerate(cats)):
             raise ValueError(f"categorical parameter {name!r} has duplicate categories")
         self._values = cats
 

@@ -1,14 +1,14 @@
 """`repro.surrogate` — one protocol for every model that drives Algorithm 1.
 
 The active-learning loop only needs ``(μ, σ)`` per pool point; this
-package makes that contract formal (:class:`Surrogate`), registers every
-model family by name (``forest``, ``gp``, ``select``, ``stack``), and
-gives them one serialization envelope — so the learner, the api, the
-CLI, and the tuning service swap surrogates with a string: a surrogate
-is built from its name alone.  See DESIGN.md §2i.
+package makes that contract formal (:class:`Surrogate`, which the forest
+and the GP implement themselves), registers every model family by name
+(``forest``, ``gp``, ``select``, ``stack``), and gives them one
+serialization envelope — so the learner, the api, the CLI, and the
+tuning service swap surrogates with a string: a surrogate is built from
+its name alone.  See DESIGN.md §2i.
 """
 
-from repro.surrogate.adapters import ForestSurrogate, GPSurrogate
 from repro.surrogate.base import Surrogate
 from repro.surrogate.registry import (
     SURROGATE_NAMES,
@@ -24,8 +24,6 @@ from repro.surrogate.stack import StackSurrogate
 
 __all__ = [
     "Surrogate",
-    "ForestSurrogate",
-    "GPSurrogate",
     "SelectSurrogate",
     "StackSurrogate",
     "SURROGATE_NAMES",

@@ -2,12 +2,12 @@
 can drive Algorithm 1.
 
 The loop is surrogate-agnostic: PWU and its siblings only need ``(μ, σ)``
-per pool point.  Historically the CART forest was hard-wired into the
-learner while :mod:`repro.gp` sat off to the side with an ad-hoc
-interface; this module makes the contract explicit so any registered
-model — forest, GP, cross-validated selection, error-weighted stack —
-flows through the learner, the engine, the CLI, and the service
-unchanged.
+per pool point.  This module makes the contract explicit so any
+registered model — forest, GP, cross-validated selection, error-weighted
+stack — flows through the learner, the engine, the CLI, and the service
+unchanged.  :class:`~repro.forest.RandomForestRegressor` and
+:class:`~repro.gp.GaussianProcessRegressor` subclass :class:`Surrogate`
+directly; the registry builds them with no wrapper in between.
 
 The contract:
 
@@ -30,10 +30,10 @@ The contract:
     Round-trip the fitted state through a flat ``dict[str, np.ndarray]``
     payload (see :mod:`repro.surrogate.serialize` for the npz envelope).
 
-Adapters may additionally expose the forest's vectorised pool scorers
+The forest additionally has vectorised pool scorers
 (``predict_with_uncertainty_pool`` / ``predict_pool``); the sampling
-layer discovers those by ``getattr`` duck-typing exactly as before, so
-surrogates without them transparently fall back to the generic path.
+layer discovers those by ``getattr`` duck-typing, so surrogates without
+them transparently fall back to the generic path.
 """
 
 from __future__ import annotations

@@ -104,9 +104,9 @@ def make_surrogate(name: str, config: Any = None, rng=None) -> Surrogate:
 
 
 def _forest_factory(config, rng) -> Surrogate:
-    from repro.surrogate.adapters import ForestSurrogate
+    from repro.forest import RandomForestRegressor
 
-    return ForestSurrogate.build(
+    return RandomForestRegressor(
         n_estimators=getattr(config, "n_estimators", 30),
         uncertainty=getattr(config, "uncertainty", "across_trees"),
         seed=rng,
@@ -114,9 +114,11 @@ def _forest_factory(config, rng) -> Surrogate:
 
 
 def _gp_factory(config, rng) -> Surrogate:
-    from repro.surrogate.adapters import GPSurrogate
+    from repro.gp import GaussianProcessRegressor
 
-    return GPSurrogate.build(seed=rng)
+    # One optimisation restart; log_targets keeps predicted times
+    # positive (execution times are) — see repro.gp.
+    return GaussianProcessRegressor(n_restarts=1, log_targets=True, seed=rng)
 
 
 def _candidate_builder(config, rng):

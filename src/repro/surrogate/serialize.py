@@ -1,15 +1,13 @@
 """One on-disk envelope for every surrogate family.
 
-The envelope is a flat ``.npz``: the adapter's :meth:`Surrogate.serialize`
-payload plus a ``surrogate_kind`` stamp for dispatch on load.  Two
-compatibility properties are deliberate:
+The envelope is a flat ``.npz``: the model's :meth:`Surrogate.serialize`
+payload plus a ``surrogate_kind`` stamp for dispatch on load and a
+``surrogate_schema`` version.  It is the only format any model is written
+in, so :func:`load_surrogate` requires the stamp: an unstamped archive
+(such as a bare forest payload) raises :class:`EnvelopeError`.  One line
+converts a bare format-2 forest file::
 
-- A saved **forest** surrogate is a superset of the classic
-  :func:`repro.forest.serialize.save_forest` format-2 file, so
-  ``load_forest`` still reads it (extra keys are ignored).
-- A classic forest file has no ``surrogate_kind`` stamp;
-  :func:`load_surrogate` defaults the kind to ``"forest"``, so every
-  model the service ever served remains loadable.
+    save_surrogate(RandomForestRegressor.deserialize(dict(np.load(path))), path)
 
 Meta-surrogates (``select``/``stack``) nest their children as byte
 blobs — each child is itself a complete envelope — via
@@ -42,14 +40,14 @@ SURROGATE_SCHEMA_VERSION = 1
 
 
 def _kind_classes() -> dict[str, type]:
-    from repro.surrogate.adapters import ForestSurrogate, GPSurrogate
+    from repro.forest import RandomForestRegressor
+    from repro.gp import GaussianProcessRegressor
     from repro.surrogate.select import SelectSurrogate
     from repro.surrogate.stack import StackSurrogate
 
-    return {
-        cls.kind: cls
-        for cls in (ForestSurrogate, GPSurrogate, SelectSurrogate, StackSurrogate)
-    }
+    classes = (RandomForestRegressor, GaussianProcessRegressor,
+               SelectSurrogate, StackSurrogate)
+    return {cls.kind: cls for cls in classes}
 
 
 def embed_blob(blob: bytes) -> np.ndarray:
@@ -79,8 +77,8 @@ def surrogate_bytes(model: Surrogate) -> bytes:
 
 #: What the surrogate loader expects, embedded in its EnvelopeErrors.
 _EXPECTED = (
-    f"a repro surrogate .npz envelope (surrogate_schema <= "
-    f"{SURROGATE_SCHEMA_VERSION}, or a classic save_forest file; "
+    f"a repro surrogate .npz envelope (surrogate_kind stamp, "
+    f"surrogate_schema <= {SURROGATE_SCHEMA_VERSION}; "
     "see repro.surrogate.serialize)"
 )
 
@@ -90,12 +88,13 @@ def surrogate_from_payload(
 ) -> Surrogate:
     """Rebuild a surrogate from an already-read envelope payload dict.
 
-    Dispatches on the ``surrogate_kind`` stamp; payloads predating the
-    envelope (plain :func:`~repro.forest.serialize.save_forest` arrays)
-    rebuild as forest surrogates.  Shared by :func:`load_surrogate` and
-    the distilled-workload loader (whose envelope is a superset).
+    Dispatches on the ``surrogate_kind`` stamp, which must be present.
+    Shared by :func:`load_surrogate` and the distilled-workload loader
+    (whose envelope is a superset).
     """
-    kind = str(payload.get("surrogate_kind", "forest"))
+    if "surrogate_kind" not in payload:
+        raise EnvelopeError(source, _EXPECTED, "archive has no surrogate_kind stamp")
+    kind = str(payload["surrogate_kind"])
     schema = int(payload.get("surrogate_schema", SURROGATE_SCHEMA_VERSION))
     if schema > SURROGATE_SCHEMA_VERSION:
         raise EnvelopeError(
@@ -131,14 +130,12 @@ def surrogate_from_payload(
 
 
 def load_surrogate(file) -> Surrogate:
-    """Load any surrogate envelope (or a classic forest npz) from ``file``.
+    """Load any surrogate envelope from ``file`` (path or file object).
 
-    Dispatches on the ``surrogate_kind`` stamp; files predating the
-    envelope (plain :func:`~repro.forest.serialize.save_forest` output)
-    load as forest surrogates.  The returned model predicts but holds no
-    training data, so it cannot keep learning.  Unreadable files —
-    missing, truncated, not an npz archive, missing schema keys, or
-    corrupt model arrays — raise a typed
+    Dispatches on the ``surrogate_kind`` stamp.  The returned model
+    predicts but holds no training data, so it cannot keep learning.
+    Unreadable files — missing, truncated, not an npz archive, without
+    the stamp or other schema keys, or corrupt model arrays — raise a typed
     :class:`~repro.envelope.EnvelopeError` naming the file and the
     expected schema.
     """

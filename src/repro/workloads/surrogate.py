@@ -25,8 +25,7 @@ of the :mod:`repro.surrogate` envelope:
     one ``.npz`` envelope: the surrogate envelope's arrays plus a
     ``workload_meta`` JSON blob (space, noise, provenance).  The file is
     a superset of the plain surrogate envelope, so
-    :func:`repro.surrogate.load_surrogate` (and, for forests,
-    :func:`repro.forest.load_forest`) still read it.
+    :func:`repro.surrogate.load_surrogate` reads it too.
 
 Distilled workloads resolve anywhere a benchmark name does —
 ``surrogate:<path.npz>`` loads a file directly, and files committed to
@@ -243,8 +242,8 @@ def save_distilled(bench: SurrogateBenchmark, file) -> None:
     """Write a distilled workload's envelope to ``file`` (path or buffer).
 
     The envelope is the surrogate envelope plus a ``workload_schema``
-    stamp and the ``workload_meta`` JSON blob, so plain surrogate (and,
-    for forests, forest) loaders read the same file.
+    stamp and the ``workload_meta`` JSON blob, so the plain surrogate
+    loader reads the same file.
     """
     if bench._payload is not None:
         payload = dict(bench._payload)
@@ -278,7 +277,7 @@ def load_distilled(file) -> SurrogateBenchmark:
             source,
             _EXPECTED,
             "archive has no workload_meta stamp — this is not a distilled "
-            "workload (a plain surrogate/forest envelope cannot serve as a "
+            "workload (a plain surrogate envelope cannot serve as a "
             "benchmark; run `repro distill` to create one)",
         )
     schema = payload.get("workload_schema", np.asarray(WORKLOAD_SCHEMA_VERSION))

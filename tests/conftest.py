@@ -56,15 +56,13 @@ def unreadable_member_envelopes(tmp_path_factory) -> dict:
     patches that member's central-directory entry only."""
     from repro.forest import RandomForestRegressor
     from repro.surrogate import save_surrogate
-    from repro.surrogate.adapters import ForestSurrogate
 
     r = np.random.default_rng(0)
     X, y = r.random((30, 3)), r.random(30)
     root = tmp_path_factory.mktemp("unreadable-members")
     clean = root / "clean.npz"
     save_surrogate(
-        ForestSurrogate(RandomForestRegressor(n_estimators=3, seed=0).fit(X, y)),
-        str(clean),
+        RandomForestRegressor(n_estimators=3, seed=0).fit(X, y), str(clean)
     )
     raw = clean.read_bytes()
     entry = raw.index(b"PK\x01\x02")  # the first central-directory entry

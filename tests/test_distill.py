@@ -101,12 +101,12 @@ class TestRoundTrip:
         assert b.name == "atax-forest"
 
     def test_plain_surrogate_loader_reads_the_superset(self, envelope_path):
-        from repro.forest.serialize import load_forest
+        from repro.forest import RandomForestRegressor
         from repro.surrogate import load_surrogate
 
-        model = load_surrogate(str(envelope_path))
-        assert model.kind == "forest"
-        forest = load_forest(str(envelope_path))
+        forest = load_surrogate(str(envelope_path))
+        assert isinstance(forest, RandomForestRegressor)
+        assert forest.kind == "forest"
         X = np.zeros((3, forest.trees_[0].n_features_))
         assert np.isfinite(forest.predict(X)).all()
 
@@ -347,6 +347,9 @@ def _spaces(draw):
         elif kind == "categorical":
             categories = draw(st.lists(_CATEGORIES, min_size=1, max_size=4,
                                        unique_by=repr))
+            # Categories must differ under == (0 and False do not).
+            categories = [c for i, c in enumerate(categories)
+                          if c not in categories[:i]]
             params.append(CategoricalParameter(name, categories))
         elif kind == "integer":
             low = draw(st.integers(-(2**40), 2**40))

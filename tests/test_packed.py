@@ -9,9 +9,10 @@ import pytest
 
 import repro.forest._cgrower as _cgrower
 from repro.envelope import EnvelopeError
-from repro.forest import PackedForest, RandomForestRegressor, load_forest, save_forest
+from repro.forest import PackedForest, RandomForestRegressor
 from repro.forest.packed import FIELDS
 from repro.space import DataPool
+from repro.surrogate import load_surrogate, save_surrogate
 
 _TREE_FIELDS = (
     "feature_",
@@ -475,15 +476,13 @@ class TestPoolBitmapRouting:
 
     def test_loaded_forest_with_non_finite_thresholds(self, bitmap_calls):
         """Thresholds at NaN, +-inf, +-0.0 and exactly on a pool level."""
-        from repro.forest.serialize import forest_from_payload, forest_payload
-
         r = np.random.default_rng(11)
         pool = DataPool(_discrete_pool(r, 1500, 5, specials=True))
         X = _training_rows(r, pool.X, 150)
         fitted = RandomForestRegressor(n_estimators=9, seed=2).fit(
             X, np.exp(r.normal(size=150))
         )
-        payload = dict(forest_payload(fitted))
+        payload = dict(fitted.serialize())
         feature = payload["packed_feature"]
         threshold = payload["packed_threshold"].copy()
         for node in np.flatnonzero(feature >= 0):
@@ -493,7 +492,7 @@ class TestPoolBitmapRouting:
                     [np.nan, np.inf, -np.inf, 0.0, -0.0, r.choice(col)]
                 )
         payload["packed_threshold"] = threshold
-        model = forest_from_payload(payload)
+        model = RandomForestRegressor.deserialize(payload)
         self._assert_scores_match(model, pool, np.arange(1500))
         self._assert_leaves_match(model.packed(), pool, np.arange(9))
         assert bitmap_calls(3)
@@ -555,8 +554,8 @@ class TestSerializeV2:
     def test_round_trip_predictions_identical(self, rng, tmp_path):
         model, X = _fitted_forest(rng, uncertainty="total_variance")
         path = tmp_path / "forest.npz"
-        save_forest(model, str(path))
-        loaded = load_forest(str(path))
+        save_surrogate(model, str(path))
+        loaded = load_surrogate(str(path))
         assert loaded.uncertainty == "total_variance"
         assert (loaded.predict(X) == model.predict(X)).all()
         mu_a, sd_a = model.predict_with_uncertainty(X)
@@ -569,7 +568,7 @@ class TestSerializeV2:
     def test_saved_file_is_packed_format(self, rng, tmp_path):
         model, _ = _fitted_forest(rng)
         path = tmp_path / "forest.npz"
-        save_forest(model, str(path))
+        save_surrogate(model, str(path))
         with np.load(path) as data:
             assert int(data["format_version"]) == 2
             for name in FIELDS:
@@ -578,16 +577,16 @@ class TestSerializeV2:
 
     def test_unfitted_forest_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
-            save_forest(RandomForestRegressor(), str(tmp_path / "x.npz"))
+            save_surrogate(RandomForestRegressor(), str(tmp_path / "x.npz"))
 
     def test_unknown_version_rejected(self, rng, tmp_path):
         model, _ = _fitted_forest(rng, n_estimators=2)
         path = tmp_path / "forest.npz"
-        save_forest(model, str(path))
+        save_surrogate(model, str(path))
         with np.load(path) as data:
             payload = dict(data)
         for version in (1, 99):
             payload["format_version"] = np.asarray(version)
             np.savez_compressed(path, **payload)
             with pytest.raises(EnvelopeError, match=f"version {version}"):
-                load_forest(str(path))
+                load_surrogate(str(path))

@@ -72,6 +72,21 @@ class TestOrdinalParameter:
         with pytest.raises(ValueError, match="at least one"):
             OrdinalParameter("t", [])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [10**400, -(10**400), float("inf"), float("nan"), True, np.bool_(False),
+         "8", None],
+        ids=["huge-int", "huge-negative-int", "inf", "nan", "bool", "numpy-bool",
+             "string", "none"],
+    )
+    def test_rejects_values_it_cannot_encode(self, bad):
+        with pytest.raises(ValueError, match="finite float"):
+            OrdinalParameter("t", [1, bad])
+
+    def test_accepts_numpy_numbers(self):
+        p = OrdinalParameter("t", [np.int64(1), np.float32(2.5), 2**53])
+        assert p.encode(2**53) == float(2**53)
+
     def test_encode_rejects_non_member(self):
         p = OrdinalParameter("t", [1, 16])
         with pytest.raises(ValueError, match="admissible"):
@@ -100,6 +115,18 @@ class TestCategoricalParameter:
     def test_duplicate_categories_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             CategoricalParameter("c", ["x", "x"])
+
+    @pytest.mark.parametrize(
+        "cats", [[1, 1.0, True], [0, False], ["a", 2, 2.0], [[1], [1]]],
+        ids=["int-float-bool", "zero-false", "int-float", "unhashable"],
+    )
+    def test_categories_equal_under_eq_rejected(self, cats):
+        with pytest.raises(ValueError, match="duplicate"):
+            CategoricalParameter("c", cats)
+
+    def test_unhashable_categories_supported(self):
+        p = CategoricalParameter("c", [[1, 2], [2, 1]])
+        assert p.encode([2, 1]) == 1.0
 
     def test_numeric_categories_supported(self):
         # hypre solver ids are numeric but categorical.

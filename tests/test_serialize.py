@@ -1,4 +1,4 @@
-"""Tests for forest save/load."""
+"""Tests for saving and loading models through the surrogate envelope."""
 
 import io
 
@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.envelope import EnvelopeError
-from repro.forest import RandomForestRegressor, load_forest, save_forest
+from repro.forest import RandomForestRegressor
 from repro.forest.packed import FIELDS
-from repro.surrogate import load_surrogate
+from repro.surrogate import load_surrogate, save_surrogate
 
 
 @pytest.fixture
@@ -23,15 +23,15 @@ class TestRoundTrip:
     def test_predictions_identical(self, fitted, tmp_path):
         model, X = fitted
         path = str(tmp_path / "forest.npz")
-        save_forest(model, path)
-        loaded = load_forest(path)
+        save_surrogate(model, path)
+        loaded = load_surrogate(path)
         assert np.array_equal(loaded.predict(X[:50]), model.predict(X[:50]))
 
     def test_uncertainty_identical(self, fitted, tmp_path):
         model, X = fitted
         path = str(tmp_path / "forest.npz")
-        save_forest(model, path)
-        loaded = load_forest(path)
+        save_surrogate(model, path)
+        loaded = load_surrogate(path)
         mu0, s0 = model.predict_with_uncertainty(X[:30])
         mu1, s1 = loaded.predict_with_uncertainty(X[:30])
         assert np.array_equal(mu0, mu1)
@@ -43,35 +43,35 @@ class TestRoundTrip:
             n_estimators=5, seed=0, uncertainty="total_variance"
         ).fit(X, y)
         path = str(tmp_path / "f.npz")
-        save_forest(model, path)
-        assert load_forest(path).uncertainty == "total_variance"
+        save_surrogate(model, path)
+        assert load_surrogate(path).uncertainty == "total_variance"
 
 
 class TestErrors:
     def test_unfitted_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unfitted"):
-            save_forest(RandomForestRegressor(), str(tmp_path / "f.npz"))
+            save_surrogate(RandomForestRegressor(), str(tmp_path / "f.npz"))
 
     def test_version_checked(self, fitted, tmp_path):
         from repro.envelope import EnvelopeError
 
         model, _ = fitted
         path = str(tmp_path / "f.npz")
-        save_forest(model, path)
+        save_surrogate(model, path)
         with np.load(path) as data:
             payload = {k: data[k] for k in data.files}
         for version in (1, 99):
             payload["format_version"] = np.asarray(version)
             np.savez_compressed(path, **payload)
             with pytest.raises(EnvelopeError, match=f"version {version}"):
-                load_forest(path)
+                load_surrogate(path)
 
     def test_loaded_forest_cannot_update(self, fitted, tmp_path, regression_data):
         model, _ = fitted
         X, y = regression_data
         path = str(tmp_path / "f.npz")
-        save_forest(model, path)
-        loaded = load_forest(path)
+        save_surrogate(model, path)
+        loaded = load_surrogate(path)
         # update() on a data-less forest falls back to fit() semantics —
         # it must not crash, and afterwards it really is refit.
         loaded.update(X[:30], y[:30])
@@ -87,35 +87,35 @@ class TestTypedEnvelopeErrors:
         from repro.envelope import EnvelopeError
 
         with pytest.raises(EnvelopeError, match="file not found"):
-            load_forest(str(tmp_path / "ghost.npz"))
+            load_surrogate(str(tmp_path / "ghost.npz"))
 
     def test_truncated_file_names_path_and_schema(self, fitted, tmp_path):
         from repro.envelope import EnvelopeError
 
         model, _ = fitted
         path = tmp_path / "f.npz"
-        save_forest(model, str(path))
+        save_surrogate(model, str(path))
         path.write_bytes(path.read_bytes()[:80])
         with pytest.raises(EnvelopeError) as err:
-            load_forest(str(path))
+            load_surrogate(str(path))
         assert str(path) in str(err.value)
-        assert "format_version" in str(err.value)  # the expected schema
+        assert "surrogate_kind" in str(err.value)  # the expected schema
 
     def test_text_file_is_not_a_zipfile_leak(self, tmp_path):
         from repro.envelope import EnvelopeError
 
         path = tmp_path / "notes.npz"
         path.write_text("definitely not an archive")
-        with pytest.raises(EnvelopeError, match="repro forest"):
-            load_forest(str(path))
+        with pytest.raises(EnvelopeError, match="repro surrogate"):
+            load_surrogate(str(path))
 
     def test_npz_missing_schema_keys(self, tmp_path):
         from repro.envelope import EnvelopeError
 
         path = tmp_path / "foreign.npz"
         np.savez_compressed(path, unrelated=np.arange(3))
-        with pytest.raises(EnvelopeError, match="format_version"):
-            load_forest(str(path))
+        with pytest.raises(EnvelopeError, match="no surrogate_kind stamp"):
+            load_surrogate(str(path))
 
     def test_surrogate_loader_shares_the_contract(self, tmp_path):
         from repro.envelope import EnvelopeError
@@ -127,12 +127,14 @@ class TestTypedEnvelopeErrors:
             load_surrogate(str(path))
 
     @pytest.mark.parametrize("kind", ["encrypted", "unknown-method"])
-    @pytest.mark.parametrize("loader", ["forest", "surrogate"])
+    @pytest.mark.parametrize("loader", ["surrogate", "distilled"])
     def test_unreadable_archive_member(
         self, unreadable_member_envelopes, kind, loader
     ):
+        from repro.workloads.surrogate import load_distilled
+
         path = str(unreadable_member_envelopes[kind])
-        load = {"forest": load_forest, "surrogate": load_surrogate}[loader]
+        load = {"surrogate": load_surrogate, "distilled": load_distilled}[loader]
         with pytest.raises(EnvelopeError, match="unreadable archive member") as err:
             load(path)
         assert path in str(err.value)
@@ -171,7 +173,7 @@ class TestCorruptNodeArrays:
     @pytest.mark.parametrize(
         "corrupt", [_corrupt_left, _corrupt_feature, _corrupt_self_loop]
     )
-    @pytest.mark.parametrize("loader", ["forest", "surrogate", "distilled"])
+    @pytest.mark.parametrize("loader", ["surrogate", "distilled"])
     def test_rejected_by_every_loader(self, zoo, tmp_path, corrupt, loader):
         from repro.envelope import EnvelopeError
         from repro.surrogate import load_surrogate
@@ -183,11 +185,7 @@ class TestCorruptNodeArrays:
         corrupt(payload, node)
         path = tmp_path / "corrupt.npz"
         np.savez_compressed(path, **payload)
-        load = {
-            "forest": load_forest,
-            "surrogate": load_surrogate,
-            "distilled": load_distilled,
-        }[loader]
+        load = {"surrogate": load_surrogate, "distilled": load_distilled}[loader]
         with pytest.raises(EnvelopeError) as err:
             load(str(path))
         assert str(path) in str(err.value)
@@ -198,7 +196,7 @@ def _saved_forest() -> bytes:
     X = np.round(r.random((40, 4)), 2)
     forest = RandomForestRegressor(n_estimators=4, seed=5).fit(X, r.random(40))
     buf = io.BytesIO()
-    save_forest(forest, buf)
+    save_surrogate(forest, buf)
     return buf.getvalue()
 
 
@@ -217,21 +215,19 @@ _ODD_VALUES = st.sampled_from(
 
 
 def _load_or_predict(blob: bytes) -> None:
-    """Every loader either refuses ``blob`` with EnvelopeError or returns
-    a model that predicts on a query with its own feature count."""
-    for load in (load_forest, load_surrogate):
-        try:
-            # A mutated float array cast to node ids may hold NaN.
-            with np.errstate(invalid="ignore"):
-                model = load(io.BytesIO(blob))
-        except EnvelopeError as exc:
-            assert "<in-memory bytes>: cannot load as" in str(exc)
-            continue
-        forest = getattr(model, "forest", model)
-        Q = np.random.default_rng(0).random((9, forest.n_features_))
-        mu = model.predict(Q)
-        mu_u, sd = model.predict_with_uncertainty(Q)
-        assert mu.shape == mu_u.shape == sd.shape == (9,)
+    """The loader either refuses ``blob`` with EnvelopeError or returns a
+    model that predicts on a query with its own feature count."""
+    try:
+        # A mutated float array cast to node ids may hold NaN.
+        with np.errstate(invalid="ignore"):
+            model = load_surrogate(io.BytesIO(blob))
+    except EnvelopeError as exc:
+        assert "<in-memory bytes>: cannot load as" in str(exc)
+        return
+    Q = np.random.default_rng(0).random((9, model.n_features_))
+    mu = model.predict(Q)
+    mu_u, sd = model.predict_with_uncertainty(Q)
+    assert mu.shape == mu_u.shape == sd.shape == (9,)
 
 
 @st.composite

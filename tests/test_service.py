@@ -238,6 +238,32 @@ class TestAppRouting:
         assert status == 400
         assert json.loads(raw)["error"]["code"] == "bad_json"
 
+    @pytest.mark.parametrize(
+        "body",
+        [b"[" * 1000 + b"]" * 1000, b'{"a":' * 1000 + b"1" + b"}" * 1000],
+        ids=["array", "object"],
+    )
+    def test_deeply_nested_body_is_bad_json(self, tmp_path, body):
+        driver = AppDriver(tmp_path)
+        sid = driver.drive(SPEC_FIELDS, rounds=1)
+        _, data = driver.call("POST", f"/v1/sessions/{sid}/suggest")
+        pending = data["suggestion"]
+        journal = tmp_path / "sessions" / sid / "journal.jsonl"
+        before = journal.read_bytes()
+        for path in (
+            "/v1/sessions",
+            f"/v1/sessions/{sid}/suggest",
+            f"/v1/sessions/{sid}/report",
+        ):
+            status, _, raw = driver.app.handle("POST", path, body)
+            assert status == 400, path
+            assert json.loads(raw)["error"]["code"] == "bad_json", path
+        assert journal.read_bytes() == before
+        _, data = driver.call("POST", f"/v1/sessions/{sid}/suggest")
+        assert data["suggestion"] == pending
+        _, data = driver.call("GET", "/v1/sessions")
+        assert [s["id"] for s in data["sessions"]] == [sid]
+
     def test_unknown_session_404(self, tmp_path):
         driver = AppDriver(tmp_path)
         status, data = driver.call("GET", "/v1/sessions/s000000-ffffffffff")
@@ -420,7 +446,8 @@ class TestSurrogateSessions:
     def test_model_header_and_deserialization(self, tmp_path):
         import io
 
-        from repro.surrogate import GPSurrogate, load_surrogate
+        from repro.gp import GaussianProcessRegressor
+        from repro.surrogate import load_surrogate
 
         driver = AppDriver(tmp_path)
         sid = driver.drive(dict(SPEC_FIELDS, surrogate="gp"), rounds=1)
@@ -429,7 +456,7 @@ class TestSurrogateSessions:
         )
         assert status == 200
         assert headers["X-Repro-Surrogate"] == "gp"
-        assert isinstance(load_surrogate(io.BytesIO(raw)), GPSurrogate)
+        assert isinstance(load_surrogate(io.BytesIO(raw)), GaussianProcessRegressor)
 
     @pytest.mark.parametrize("surrogate", ["gp", "select", "stack"])
     def test_served_session_matches_offline_reference(
@@ -643,6 +670,63 @@ class TestSessionDeterminismAndResume:
         assert resumed.model_bytes() == model_blob(
             offline_reference(make_spec(mode="server", n_max=12))
         )
+
+
+#: Request values: the spec-field values plus ints past every fixed width
+#: and past the float range.
+REQUEST_VALUES = st.one_of(
+    JSON_VALUES,
+    st.sampled_from([2**63, -(2**63) - 1, 2**64, 10**400, -(10**400)]),
+    st.lists(st.sampled_from([0, 1, 2**64, 10**400]), max_size=3),
+)
+
+
+class TestRequestPayloadProperty:
+    """Any JSON value, sent as a suggest or report body or as its ``n``,
+    ``indices`` or ``y`` field, gets a 200, 400 or 409 from a live
+    session and never raises out of ``handle``; the session then still
+    resumes from disk."""
+
+    def test_suggest_and_report_answer_or_refuse(self, tmp_path):
+        # Room for every valid report the draws make, so it stays open.
+        fields = dict(SPEC_FIELDS, n_max=60)
+        driver = AppDriver(tmp_path)
+        _, data = driver.call("POST", "/v1/sessions", fields)
+        sid = data["session"]["id"]
+        spec = SessionSpec.from_payload(dict(fields))
+
+        @given(
+            route=st.sampled_from(["suggest", "report"]),
+            field=st.sampled_from([None, "n", "indices", "y"]),
+            value=REQUEST_VALUES,
+        )
+        @settings(max_examples=200, deadline=None)
+        def probe(route, field, value):
+            status, sug = driver.call("POST", f"/v1/sessions/{sid}/suggest")
+            if status == 200:
+                sug = sug["suggestion"]
+                y = measure_round(spec, np.asarray(sug["x"]), sug["round"])
+                payload = {"indices": sug["indices"], "y": [float(v) for v in y]}
+            else:
+                payload = {"indices": [0], "y": [1.0]}
+            if field is None:
+                payload = value
+            else:
+                payload[field] = value
+            body = json.dumps(payload).encode()
+            status, _, _ = driver.app.handle(
+                "POST", f"/v1/sessions/{sid}/{route}", body
+            )
+            assert status in (200, 400, 409), (route, payload)
+
+        probe()
+        registry = SessionRegistry(tmp_path)
+        try:
+            states = {s["id"]: s["state"] for s in registry.list()}
+        finally:
+            registry.shutdown()
+        assert states == {sid: states[sid]}
+        assert states[sid] in ("open", "completed")
 
 
 class TestBootAfterDamage:

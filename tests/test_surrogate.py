@@ -1,5 +1,5 @@
-"""The repro.surrogate protocol: registry, adapters, meta-surrogates,
-serialization envelope, and end-to-end determinism."""
+"""The repro.surrogate protocol: registry, the model families,
+meta-surrogates, serialization envelope, and end-to-end determinism."""
 
 from __future__ import annotations
 
@@ -11,12 +11,11 @@ import pytest
 import repro.api
 from repro.engine.context import EngineConfig, use_engine
 from repro.envelope import EnvelopeError
-from repro.forest import RandomForestRegressor, load_forest, save_forest
+from repro.forest import RandomForestRegressor
+from repro.gp import GaussianProcessRegressor
 from repro.registry import NameRegistry
 from repro.surrogate import (
     SURROGATE_NAMES,
-    ForestSurrogate,
-    GPSurrogate,
     SelectSurrogate,
     StackSurrogate,
     Surrogate,
@@ -24,7 +23,6 @@ from repro.surrogate import (
     load_surrogate,
     make_surrogate,
     register_surrogate,
-    save_surrogate,
     supports_partial_update,
     surrogate_bytes,
     surrogate_entry,
@@ -70,6 +68,8 @@ class TestRegistry:
             model = make_surrogate(name, rng=np.random.default_rng(0))
             assert isinstance(model, Surrogate)
             assert model.kind == name
+        assert type(make_surrogate("forest")) is RandomForestRegressor
+        assert type(make_surrogate("gp")) is GaussianProcessRegressor
 
     def test_unknown_name_suggests_closest(self):
         with pytest.raises(KeyError, match="did you mean 'forest'"):
@@ -94,10 +94,10 @@ class TestRegistry:
         assert surrogate_entry("forest").factory is entry.factory
 
     def test_register_and_cleanup_custom_surrogate(self):
-        register_surrogate("_probe", lambda **kwargs: ForestSurrogate.build())
+        register_surrogate("_probe", lambda **kwargs: RandomForestRegressor())
         try:
             assert "_probe" in available_surrogates()
-            assert isinstance(make_surrogate("_probe"), ForestSurrogate)
+            assert isinstance(make_surrogate("_probe"), RandomForestRegressor)
         finally:
             del registry_mod._REGISTRY["_probe"]
         assert "_probe" not in available_surrogates()
@@ -147,26 +147,11 @@ class TestNameRegistry:
 
 
 class TestForestAdapter:
-    def test_delegates_to_wrapped_forest(self, positive_data):
-        X, y = positive_data
-        raw = RandomForestRegressor(n_estimators=8, seed=0).fit(X, y)
-        wrapped = ForestSurrogate(
-            RandomForestRegressor(n_estimators=8, seed=0)
-        ).fit(X, y)
-        assert np.array_equal(raw.predict(X), wrapped.predict(X))
-        mu_r, sd_r = raw.predict_with_uncertainty(X)
-        mu_w, sd_w = wrapped.predict_with_uncertainty(X)
-        assert np.array_equal(mu_r, mu_w) and np.array_equal(sd_r, sd_w)
-        assert np.array_equal(raw.training_targets, wrapped.training_targets)
-
-    def test_pool_scorers_reexposed(self):
-        model = ForestSurrogate.build(n_estimators=4, seed=0)
-        assert model.predict_with_uncertainty_pool is not None
-        assert model.predict_pool is not None
+    """The forest implements the protocol itself, partial update included."""
 
     def test_partial_update_supported(self, positive_data):
         X, y = positive_data
-        model = ForestSurrogate.build(n_estimators=8, seed=0).fit(X[:40], y[:40])
+        model = RandomForestRegressor(n_estimators=8, seed=0).fit(X[:40], y[:40])
         model.update(X[40:], y[40:])
         assert len(model.training_targets) == len(y)
 
@@ -288,28 +273,18 @@ class TestSerialization:
         with pytest.raises(RuntimeError, match="cannot refit"):
             loaded.fit(X, y)
 
-    def test_classic_forest_file_loads_as_forest_surrogate(self, positive_data):
+    def test_unstamped_forest_file_is_refused(self, positive_data, tmp_path):
         X, y = positive_data
-        forest = RandomForestRegressor(n_estimators=6, seed=0).fit(X, y)
-        buf = io.BytesIO()
-        save_forest(forest, buf)
-        buf.seek(0)
-        loaded = load_surrogate(buf)
-        assert isinstance(loaded, ForestSurrogate)
-        assert np.allclose(loaded.predict(X), forest.predict(X))
-
-    def test_forest_envelope_still_readable_by_load_forest(self, positive_data):
-        X, y = positive_data
-        model = _fit("forest", X, y, seed=0)
-        buf = io.BytesIO()
-        save_surrogate(model, buf)
-        buf.seek(0)
-        forest = load_forest(buf)
-        assert np.allclose(forest.predict(X), model.predict(X))
+        model = RandomForestRegressor(n_estimators=6, seed=0).fit(X, y)
+        path = tmp_path / "bare.npz"
+        np.savez(path, **model.serialize())
+        with pytest.raises(EnvelopeError, match="surrogate_kind") as err:
+            load_surrogate(str(path))
+        assert str(path) in str(err.value)
 
     def test_unfitted_models_refuse_to_serialize(self):
         with pytest.raises(ValueError, match="unfitted"):
-            surrogate_bytes(GPSurrogate.build(seed=0))
+            surrogate_bytes(make_surrogate("gp", rng=np.random.default_rng(0)))
 
     @pytest.mark.parametrize(
         "key, value",

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import repro.active.learner as learner_mod
+import repro.forest
 import repro.forest._cgrower as _cgrower
-import repro.surrogate.adapters as adapters_mod
 from repro.active import ActiveLearner, LearnerConfig
 from repro.forest import RandomForestRegressor, RegressionTree
 from repro.forest.uncertainty import across_tree_std, total_variance_std
@@ -343,10 +343,10 @@ def _run_learner(seed, strategy_name, forest_cls, disable_stat_reuse,
     )
     cfg = dict(n_init=8, n_batch=1, n_max=18, eval_every=3, n_estimators=6)
     cfg.update(cfg_overrides)
-    # The learner builds its forest through the surrogate registry; the
-    # adapter module's constructor binding is the one seam to swap the
-    # reference implementation in.
-    monkeypatch_ctx.setattr(adapters_mod, "RandomForestRegressor", forest_cls)
+    # The learner builds its forest through the surrogate registry, whose
+    # forest factory looks the class up in repro.forest at call time: the
+    # one seam to swap the reference implementation in.
+    monkeypatch_ctx.setattr(repro.forest, "RandomForestRegressor", forest_cls)
     if disable_stat_reuse:
         monkeypatch_ctx.setattr(
             learner_mod, "consume_selection_stats", lambda *a: None
@@ -360,7 +360,11 @@ def _run_learner(seed, strategy_name, forest_cls, disable_stat_reuse,
         config=LearnerConfig(**cfg),
         seed=seed + 2,
     )
-    return learner.run()
+    history = learner.run()
+    if forest_cls is not RandomForestRegressor:
+        # A seam that stopped working would compare the fast path with itself.
+        assert type(learner.model) is forest_cls
+    return history
 
 
 class TestFullRunEquivalence:
