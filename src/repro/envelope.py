@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import sys
+import tokenize
 import zipfile
 import zlib
 
@@ -97,7 +98,9 @@ def read_npz_payload(file, expected: str) -> "dict[str, np.ndarray]":
         raise EnvelopeError(
             source, expected, f"file is empty or truncated ({exc})"
         ) from exc
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, tokenize.TokenError) as exc:
+        # TokenError: numpy re-tokenizes an array header that does not
+        # parse, and a garbled one can end inside an open bracket.
         raise EnvelopeError(
             source, expected, f"corrupt or foreign file ({exc})"
         ) from exc

@@ -78,31 +78,27 @@ class Kernel:
         X: np.ndarray,
         y: np.ndarray,
         n_trees: int,
-        bootstrap: bool,
         rng: np.random.Generator,
         m: int,
-        min_samples_leaf: int,
-        min_samples_split: int,
-        max_depth: "int | None",
     ) -> "tuple[dict[str, np.ndarray], np.ndarray]":
         """Grow ``n_trees`` presorted trees on ``(X, y)`` in one kernel call.
 
         ``X`` must be a finite 2-D float64 matrix with at least one row and
-        ``y`` its finite float64 targets, as the forest and the tree check
-        before calling (finiteness is theirs to check; the shapes, dtypes
-        and ``min_samples_leaf``, which bound the kernel's reads, are
-        checked here too).  Each tree draws its bootstrap (when
-        ``bootstrap``) and its feature subsets from ``rng`` in the order a
+        ``y`` its finite float64 targets, as the forest checks before
+        calling (finiteness is left to it; the shapes and dtypes, which
+        bound the kernel's reads, are checked here too).  Each split draws
+        ``m >= 1`` features, every one when ``m >= d``.  Each tree draws
+        its bootstrap and its feature subsets from ``rng`` in the order a
         Python loop over :class:`~repro.forest.tree.RegressionTree` fits
         would.  Returns the packed node arrays by field name, child links
         global, and the ``n_trees + 1`` offsets of the trees' roots.
         """
         if (X.ndim != 2 or X.dtype != np.float64 or y.dtype != np.float64
                 or y.shape != (len(X),) or not 0 < len(X) <= 2**32
-                or min_samples_leaf < 1):
+                or m < 1):
             raise ValueError(
                 "grow_forest needs a non-empty 2-D float64 X (at most 2**32 "
-                "rows), one float64 target per row and min_samples_leaf >= 1"
+                "rows), one float64 target per row and m >= 1"
             )
         n, d = X.shape
         XT = np.ascontiguousarray(X.T)
@@ -129,9 +125,7 @@ class Kernel:
         with bitgen.lock:  # the kernel draws from the generator's state
             total = self.lib.repro_grow_forest(
                 XT.ctypes.data, y.ctypes.data, rank.ctypes.data,
-                n, d, m, min_samples_leaf, min_samples_split,
-                -1 if max_depth is None else max_depth,
-                n_trees, bootstrap, bitgen.ctypes.bit_generator,
+                n, d, m, n_trees, bitgen.ctypes.bit_generator,
                 self.ddot, self.ddot_ilp64,
                 inodes.ctypes.data, fnodes.ctypes.data, cap,
                 offsets.ctypes.data,
@@ -228,11 +222,7 @@ def _configure(lib: ctypes.CDLL) -> None:
         ip,               # n
         ip,               # d
         ip,               # m
-        ip,               # min_samples_leaf
-        ip,               # min_samples_split
-        ip,               # max_depth (-1: none)
         ip,               # n_trees
-        ip,               # bootstrap
         ctypes.c_void_p,  # bitgen
         ctypes.c_void_p,  # ddot
         ip,               # ddot_ilp64

@@ -3,7 +3,9 @@
  * Compiled on demand by repro/forest/_cgrower.py (plain `cc -shared`, no
  * Python headers needed) and driven through ctypes.  repro_grow_forest
  * grows all of a fit's trees in one call, bootstrap draws included, and
- * writes them straight into the packed layout.  It must produce the same
+ * writes them straight into the packed layout.  Every tree grows one way:
+ * on a bootstrap sample, drawing m features per split, splitting each
+ * node until it is pure or holds one sample.  It must produce the same
  * bits as the reference grower in repro/forest/tree.py driven tree by
  * tree from repro/forest/forest.py: the same node arrays and the same RNG
  * state afterwards.  It reproduces each numpy behaviour that grower
@@ -521,7 +523,7 @@ void repro_choice(bitgen_t *bg, ip d, ip m, ip *out, unsigned char *seen)
 }
 
 typedef struct {
-    ip node, start, k, depth;
+    ip node, start, k;
 } frame;
 
 /* Scratch one repro_grow_forest call allocates once and every tree reuses.
@@ -542,7 +544,9 @@ typedef struct {
  * order (stable), row d ascending.  Each node owns the same segment
  * [start, start+k) of every row, and a split partitions that segment in
  * place, stably, into [left | right], so the rows stay sorted within each
- * child.  `bg` is the tree's bit generator (used only when m < d).
+ * child.  `bg` is the tree's bit generator (used only when m < d).  A node
+ * stays a leaf when it holds one sample, its impurity is at most 1e-12, or
+ * no split of its m drawn features gains more than 1e-12.
  *
  * Node arrays go to two (4, cap) blocks: `inodes` rows are feature,
  * left, right, count and `fnodes` rows are threshold, value, variance,
@@ -552,9 +556,9 @@ typedef struct {
  * splits, and the right child is grown first.  Returns the node count.
  */
 static ip grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
-                    ip m, ip msl, ip mss, ip max_depth, bitgen_t *bg,
-                    const void *ddot, ip ilp64, ip *inodes, double *fnodes,
-                    ip cap, ip base, const scratch_t *sc)
+                    ip m, bitgen_t *bg, const void *ddot, ip ilp64,
+                    ip *inodes, double *fnodes, ip cap, ip base,
+                    const scratch_t *sc)
 {
     ip *feature = inodes + base, *left = inodes + cap + base;
     ip *right = inodes + 2 * cap + base, *count = inodes + 3 * cap + base;
@@ -576,7 +580,7 @@ static ip grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
     threshold[0] = 0.0;
     ip n_nodes = 1;
     ip sp = 0;
-    stack[sp++] = (frame){0, 0, n, 0};
+    stack[sp++] = (frame){0, 0, n};
     while (sp > 0) {
         const frame fr = stack[--sp];
         const ip node = fr.node, start = fr.start, k = fr.k;
@@ -596,17 +600,12 @@ static ip grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
             imp = 0.0;
         impurity[node] = imp;
 
-        if (k < mss || (max_depth >= 0 && fr.depth >= max_depth) ||
-            imp <= 1e-12)
+        if (k < 2 || imp <= 1e-12)
             continue;
         if (m < d)
             repro_choice(bg, d, m, feats, seen);
-        if (2 * msl > k)
-            continue;
 
         /* Best split over the candidate rows. */
-        const ip lo = msl;
-        const ip hi = k - msl;
         int found = 0;
         double best = 0.0;
         ip best_pos = 0, best_col = 0;
@@ -626,18 +625,16 @@ static ip grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
                 tot_q = tot_q + sq;
             }
 
-            /* Stream the prefixes; candidate split position i keeps the
-             * first i sorted samples on the left and is valid only where
-             * the sorted feature value changes. */
+            /* Stream the prefixes; candidate split position i in [1, k)
+             * keeps the first i sorted samples on the left and is valid
+             * only where the sorted feature value changes. */
             double acc_s = 0.0;
             double acc_q = 0.0;
-            for (ip i = 1; i <= hi; i++) {
+            for (ip i = 1; i < k; i++) {
                 const double yv = y[ordf[i - 1]];
                 const double sq = yv * yv;
                 acc_s = acc_s + yv;
                 acc_q = acc_q + sq;
-                if (i < lo)
-                    continue;
                 const double f_lo = Xf[ordf[i - 1]];
                 const double f_hi = Xf[ordf[i]];
                 if (f_hi == f_lo)
@@ -655,13 +652,12 @@ static ip grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
                 const double qr = tot_q - acc_q;
                 const double right_sse = qr - u;
                 const double comb = left_sse + right_sse;
-                const ip pos = i - lo;
                 /* First minimum in (position, column) order == np.argmin
                  * over the reference (n_candidates, m) block. */
-                if (!found || comb < best || (comb == best && pos < best_pos)) {
+                if (!found || comb < best || (comb == best && i < best_pos)) {
                     found = 1;
                     best = comb;
-                    best_pos = pos;
+                    best_pos = i;
                     best_col = col;
                     best_tot_s = tot_s;
                     best_tot_q = tot_q;
@@ -679,9 +675,8 @@ static ip grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
         const ip f = feats[best_col];
         const ip *ordf = order + f * n + start;
         const double *Xf = XT + f * n;
-        const ip split_i = lo + best_pos;
-        const double lo_val = Xf[ordf[split_i - 1]];
-        const double hi_val = Xf[ordf[split_i]];
+        const double lo_val = Xf[ordf[best_pos - 1]];
+        const double hi_val = Xf[ordf[best_pos]];
         double thr = 0.5 * (lo_val + hi_val);
         /* Midpoints of adjacent floats can collapse onto the upper value;
          * the left side must satisfy value <= thr < upper value. */
@@ -727,8 +722,8 @@ static ip grow_tree(const double *XT, const double *y, ip *order, ip n, ip d,
         for (ip i = 0; i < n_left; i++)
             inleft[idx[i]] = 0;
 
-        stack[sp++] = (frame){li, start, n_left, fr.depth + 1};
-        stack[sp++] = (frame){li + 1, start + n_left, k - n_left, fr.depth + 1};
+        stack[sp++] = (frame){li, start, n_left};
+        stack[sp++] = (frame){li + 1, start + n_left, k - n_left};
     }
     return n_nodes;
 }
@@ -751,15 +746,15 @@ void repro_bootstrap(bitgen_t *bg, ip n, ip *out)
  * each tree in turn:
  *
  *  - the sample idx is a bootstrap drawn on `bg` exactly as
- *    Generator.integers(0, n, size=n) draws it, or 0..n-1 without
- *    `bootstrap`;
+ *    Generator.integers(0, n, size=n) draws it;
  *  - the sample's columns and targets are gathered;
  *  - each feature's row of `order` is a counting sort of the sample
  *    positions j by rank[f, idx[j]], visiting j in ascending order, so it
  *    is stable and equals np.argsort(kind="stable") of the sample's
  *    feature; row d holds 0..n-1;
- *  - grow_tree grows the tree into ids [offsets[t], offsets[t+1]) of the
- *    two (4, cap) node blocks, cap >= n_trees * (2n - 1).
+ *  - grow_tree grows the tree, drawing m features per split (every
+ *    feature when m >= d), into ids [offsets[t], offsets[t+1]) of the two
+ *    (4, cap) node blocks, cap >= n_trees * (2n - 1).
  *
  * The generator sees the draws of a Python loop that draws one bootstrap
  * and grows one tree at a time, in the same order.  `offsets` receives
@@ -767,10 +762,9 @@ void repro_bootstrap(bitgen_t *bg, ip n, ip *out)
  * allocation fails.
  */
 ip repro_grow_forest(const double *XT, const double *y, const ip *rank,
-                     ip n, ip d, ip m, ip msl, ip mss, ip max_depth,
-                     ip n_trees, ip bootstrap, bitgen_t *bg, const void *ddot,
-                     ip ilp64, ip *inodes, double *fnodes, ip cap,
-                     ip *offsets)
+                     ip n, ip d, ip m, ip n_trees, bitgen_t *bg,
+                     const void *ddot, ip ilp64, ip *inodes, double *fnodes,
+                     ip cap, ip *offsets)
 {
     const size_t nz = (size_t)n, dz = (size_t)d;
     ip *idx = malloc(nz * sizeof(ip));
@@ -790,11 +784,7 @@ ip repro_grow_forest(const double *XT, const double *y, const ip *rank,
 
     offsets[0] = 0;
     for (ip t = 0; t < n_trees; t++) {
-        if (bootstrap)
-            repro_bootstrap(bg, n, idx);
-        else
-            for (ip j = 0; j < n; j++)
-                idx[j] = j;
+        repro_bootstrap(bg, n, idx);
         for (ip f = 0; f < d; f++) {
             const double *src = XT + f * n;
             double *dst = Xs + f * n;
@@ -819,8 +809,8 @@ ip repro_grow_forest(const double *XT, const double *y, const ip *rank,
             order[d * n + j] = j;
 
         offsets[t + 1] = offsets[t] +
-            grow_tree(Xs, ys, order, n, d, m, msl, mss, max_depth, bg, ddot,
-                      ilp64, inodes, fnodes, cap, offsets[t], &sc);
+            grow_tree(Xs, ys, order, n, d, m, bg, ddot, ilp64, inodes, fnodes,
+                      cap, offsets[t], &sc);
     }
     total = offsets[n_trees];
 

@@ -2,7 +2,10 @@
 
 Implements the surrogate of Section II-B: bootstrap-aggregated CART trees
 with a random feature subspace per split, mean prediction, and an
-uncertainty estimate used by every sampling strategy.  Also supports the
+uncertainty estimate used by every sampling strategy.  The forest has one
+configuration: every tree grows on a bootstrap sample, every split draws
+:func:`~repro.forest.tree.n_split_features` features, and a node splits
+until it is pure or holds one sample.  Also supports the
 "update partially" variant mentioned in Fig. 1 / Algorithm 1: instead of
 refitting all trees on the enlarged training set, refresh only a fraction.
 
@@ -12,9 +15,9 @@ draws included, straight into the packed node arrays
 read-only view sliced from them on first access; without it, a Python
 loop fits one reference :class:`RegressionTree` per bootstrap sample and
 the packed form is built from those on first use.
-Both paths check the data and the tree hyper-parameters before changing
-any state or drawing from the generator, consume the generator
-identically and give the same node arrays.
+Both paths check the data before changing any state or drawing from the
+generator, consume the generator identically and give the same node
+arrays.
 
 Inference goes through :class:`~repro.forest.packed.PackedForest`: the
 query matrix is validated once at the forest level and all trees are
@@ -42,7 +45,11 @@ import numpy as np
 
 from repro.forest import _cgrower
 from repro.forest.packed import FIELDS, PackedForest
-from repro.forest.tree import RegressionTree, check_training_data
+from repro.forest.tree import (
+    RegressionTree,
+    check_training_data,
+    n_split_features,
+)
 from repro.forest.uncertainty import across_tree_std, total_variance_std
 from repro.rng import as_generator
 from repro.surrogate.base import Surrogate
@@ -83,14 +90,8 @@ class RandomForestRegressor(Surrogate):
     Parameters
     ----------
     n_estimators:
-        Number of trees.
-    max_depth, min_samples_split, min_samples_leaf, max_features:
-        Passed through to each :class:`RegressionTree`.  ``max_features``
-        defaults to ``"third"`` — Breiman's recommendation for regression and
-        the setting used by Hutter et al. for runtime prediction.
-    bootstrap:
-        Draw a bootstrap resample per tree (bagging).  Disabling it removes
-        the first of the forest's two randomness sources.
+        Number of trees, each a :class:`RegressionTree` grown on its own
+        bootstrap sample.
     uncertainty:
         ``"across_trees"`` (the paper's estimator: std of per-tree means) or
         ``"total_variance"`` (adds within-leaf variance).
@@ -106,11 +107,6 @@ class RandomForestRegressor(Surrogate):
     def __init__(
         self,
         n_estimators: int = 30,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_features: "int | float | str | None" = "third",
-        bootstrap: bool = True,
         uncertainty: str = "across_trees",
         seed=None,
     ) -> None:
@@ -119,11 +115,6 @@ class RandomForestRegressor(Surrogate):
         if uncertainty not in ("across_trees", "total_variance"):
             raise ValueError(f"unknown uncertainty estimator: {uncertainty!r}")
         self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.bootstrap = bootstrap
         self.uncertainty = uncertainty
         self.rng = as_generator(seed)
         #: Feature count of the training data; ``None`` until fitted.
@@ -142,26 +133,12 @@ class RandomForestRegressor(Surrogate):
         self._pool_cache: dict | None = None
 
     # -- fitting -----------------------------------------------------------
-    def _new_tree(self) -> RegressionTree:
-        return RegressionTree(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=self.max_features,
-            rng=self.rng,
-        )
-
     def _fit_one_tree(self, X: np.ndarray, y: np.ndarray) -> RegressionTree:
-        tree = self._new_tree()
-        if self.bootstrap:
-            idx = self.rng.integers(0, len(X), size=len(X))
-            tree.fit(X[idx], y[idx])
-        else:
-            tree.fit(X, y)
-        return tree
+        idx = self.rng.integers(0, len(X), size=len(X))
+        return RegressionTree(rng=self.rng).fit(X[idx], y[idx])
 
     def _grow(
-        self, X: np.ndarray, y: np.ndarray, n_trees: int, m: int
+        self, X: np.ndarray, y: np.ndarray, n_trees: int
     ) -> "PackedForest | list[RegressionTree]":
         """Grow ``n_trees`` trees on validated data, drawing from ``rng``.
 
@@ -174,22 +151,19 @@ class RandomForestRegressor(Surrogate):
         if kernel is None:
             return [self._fit_one_tree(X, y) for _ in range(n_trees)]
         arrays, offsets = kernel.grow_forest(
-            X, y, n_trees, self.bootstrap, self.rng, m,
-            self.min_samples_leaf, self.min_samples_split, self.max_depth,
+            X, y, n_trees, self.rng, n_split_features(X.shape[1])
         )
         return PackedForest(**arrays, offsets=offsets, n_features=X.shape[1])
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         """Fit all trees from scratch on ``(X, y)``.
 
-        The data and the tree hyper-parameters are checked before anything
-        changes: a rejected fit leaves the forest, its training data and
-        its generator as they were.
+        The data are checked before anything changes: a rejected fit leaves
+        the forest, its training data and its generator as they were.
         """
         X, y = check_training_data(X, y)
-        m = self._new_tree()._n_split_features(X.shape[1])
         with span("forest.fit", trees=self.n_estimators, n_train=len(y)):
-            grown = self._grow(X, y, self.n_estimators, m)
+            grown = self._grow(X, y, self.n_estimators)
         counters.inc("forest.trees_fit", self.n_estimators)
         self._X, self._y = X.copy(), y.copy()
         self.n_features_ = X.shape[1]
@@ -225,11 +199,10 @@ class RandomForestRegressor(Surrogate):
         X, y = check_training_data(
             np.vstack([self._X, X_new]), np.concatenate([self._y, y_new])
         )
-        m = self._new_tree()._n_split_features(X.shape[1])
         n_refresh = max(1, int(round(refresh_fraction * self.n_estimators)))
         which = self.rng.choice(self.n_estimators, size=n_refresh, replace=False)
         with span("forest.update", refreshed=n_refresh, n_train=len(y)):
-            grown = self._grow(X, y, n_refresh, m)
+            grown = self._grow(X, y, n_refresh)
             if isinstance(grown, PackedForest):
                 grown = grown.to_trees()
             trees = list(self.trees_)

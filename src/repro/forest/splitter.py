@@ -44,35 +44,34 @@ def sse(y: np.ndarray) -> float:
 
 
 def _search_sorted_block(
-    Fs: np.ndarray, Ys: np.ndarray, min_samples_leaf: int
+    Fs: np.ndarray, Ys: np.ndarray
 ) -> "tuple[int, float, float] | None":
     """Prefix-sum split search over a feature-sorted block.
 
-    ``Fs``/``Ys`` are ``(n, m)``: column ``j`` holds the node's feature
-    values / targets in ascending feature-``j`` order.  Returns
-    ``(column, threshold, gain)`` for the best valid split, or ``None``.
+    ``Fs``/``Ys`` are ``(n, m)`` with ``n >= 2``: column ``j`` holds the
+    node's feature values / targets in ascending feature-``j`` order.
+    Returns ``(column, threshold, gain)`` for the best valid split, or
+    ``None``.
     """
     n = len(Ys)
-    lo, hi = min_samples_leaf, n - min_samples_leaf  # split position i: left=[0,i)
-    if lo > hi:
-        return None
 
     csum = np.cumsum(Ys, axis=0)
     csq = np.cumsum(Ys * Ys, axis=0)
     total_sum = csum[-1]  # (m,)
     total_sq = csq[-1]
 
-    # Candidate positions i in [lo, hi]; left stats use row i-1 of prefixes.
-    n_l = np.arange(lo, hi + 1, dtype=np.float64)[:, None]  # (k, 1)
-    s_l = csum[lo - 1 : hi]  # (k, m)
-    q_l = csq[lo - 1 : hi]
+    # Candidate positions i in [1, n-1] (left=[0,i)); left stats use row
+    # i-1 of the prefixes.
+    n_l = np.arange(1, n, dtype=np.float64)[:, None]  # (n-1, 1)
+    s_l = csum[:-1]  # (n-1, m)
+    q_l = csq[:-1]
     n_r = n - n_l
     s_r = total_sum[None, :] - s_l
     q_r = total_sq[None, :] - q_l
     combined = (q_l - s_l * s_l / n_l) + (q_r - s_r * s_r / n_r)
 
     # A position is valid only where the sorted feature value changes.
-    valid = Fs[lo : hi + 1] != Fs[lo - 1 : hi]
+    valid = Fs[1:] != Fs[:-1]
     if not valid.any():
         return None
     combined = np.where(valid, combined, np.inf)
@@ -89,7 +88,7 @@ def _search_sorted_block(
     if gain <= _MIN_GAIN:
         return None
 
-    i = lo + pos
+    i = 1 + pos
     lo_val, hi_val = Fs[i - 1, col], Fs[i, col]
     threshold = 0.5 * (lo_val + hi_val)
     # Guard against midpoints collapsing onto the upper value for adjacent
@@ -100,25 +99,19 @@ def _search_sorted_block(
 
 
 def best_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    feature_indices: np.ndarray,
-    min_samples_leaf: int = 1,
+    X: np.ndarray, y: np.ndarray, feature_indices: np.ndarray
 ) -> Split | None:
     """Search ``feature_indices`` for the split with the largest SSE reduction.
 
     Returns ``None`` when no candidate feature admits a valid split
-    (constant features, too few samples, or no positive gain).  Candidate
-    thresholds are midpoints between consecutive distinct sorted values;
-    both children must keep at least ``min_samples_leaf`` samples.
+    (constant features, fewer than two samples, or no positive gain).
+    Candidate thresholds are midpoints between consecutive distinct
+    sorted values; a child may hold a single sample.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     feats = np.asarray(feature_indices, dtype=np.intp)
-    n = len(y)
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be >= 1")
-    if n < 2 * min_samples_leaf or n < 2 or len(feats) == 0:
+    if len(y) < 2 or len(feats) == 0:
         return None
 
     F = X[:, feats]  # (n, m)
@@ -127,7 +120,7 @@ def best_split(
     Fs = F[order, cols]  # fancy-indexed take_along_axis (lower overhead)
     Ys = y[order]  # (n, m): y re-sorted per feature column
 
-    hit = _search_sorted_block(Fs, Ys, min_samples_leaf)
+    hit = _search_sorted_block(Fs, Ys)
     if hit is None:
         return None
     col, threshold, gain = hit

@@ -4,13 +4,15 @@ Construction is iterative (explicit stack) to avoid recursion limits and to
 keep node bookkeeping in flat arrays; prediction descends all query rows
 through the tree simultaneously, one level per vectorised step.
 
-Each node's split comes from a fresh ``(n, m)`` argsort of its samples
-(:func:`~repro.forest.splitter.best_split`).  A forest grows its trees
-with the C kernel when it is loaded, in one call that presorts each
-sample once (:mod:`repro.forest.forest`); without the kernel it fits one
-:class:`RegressionTree` per tree.  Both consume the node RNG identically
-and produce bit-identical trees — the trace-equivalence suite
-(``tests/test_trace_equivalence.py``) pins this.
+Every tree grows one way: each split draws :func:`n_split_features` of
+the ``d`` features, and a node splits until it is pure or holds one
+sample.  Each node's split comes from a fresh ``(n, m)`` argsort of its
+samples (:func:`~repro.forest.splitter.best_split`).  A forest grows its
+trees on bootstrap samples with the C kernel when it is loaded, in one
+call that presorts each sample once (:mod:`repro.forest.forest`); without
+the kernel it fits one :class:`RegressionTree` per tree.  Both consume the
+node RNG identically and produce bit-identical trees — the
+trace-equivalence suite (``tests/test_trace_equivalence.py``) pins this.
 """
 
 from __future__ import annotations
@@ -19,9 +21,16 @@ import numpy as np
 
 from repro.forest.splitter import best_split
 
-__all__ = ["RegressionTree"]
+__all__ = ["RegressionTree", "n_split_features"]
 
 _LEAF = -1
+
+
+def n_split_features(n_features: int) -> int:
+    """Features each split draws: a third of them, at least one —
+    Breiman's regression default, and the setting Hutter et al. use for
+    runtime prediction."""
+    return max(1, n_features // 3)
 
 
 def check_training_data(X, y) -> "tuple[np.ndarray, np.ndarray]":
@@ -46,71 +55,26 @@ def check_training_data(X, y) -> "tuple[np.ndarray, np.ndarray]":
 class RegressionTree:
     """A single regression tree (MSE criterion).
 
+    Each split searches :func:`n_split_features` features drawn from
+    ``rng`` (all of them when there is only one), and a node is split
+    until it is pure or holds a single sample.
+
     Parameters
     ----------
-    max_depth:
-        Depth limit; ``None`` grows until purity / sample limits.
-    min_samples_split:
-        Smallest node that may be split further.
-    min_samples_leaf:
-        Smallest admissible child size.
-    max_features:
-        Features considered per split: ``None``/"all" (every feature),
-        ``"sqrt"``, ``"third"`` (Breiman's regression default p/3), an int
-        count, or a float fraction.
     rng:
         Generator used for per-node feature subsampling.
     """
 
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        min_samples_leaf: int = 1,
-        max_features: "int | float | str | None" = None,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if max_depth is not None and max_depth < 1:
-            raise ValueError("max_depth must be >= 1 (or None)")
-        self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
+    def __init__(self, rng: np.random.Generator | None = None) -> None:
         self.rng = rng if rng is not None else np.random.default_rng()
         self._fitted = False
-
-    # -- configuration -----------------------------------------------------
-    def _n_split_features(self, n_features: int) -> int:
-        mf = self.max_features
-        if mf is None or mf == "all":
-            return n_features
-        if mf == "sqrt":
-            return max(1, int(np.sqrt(n_features)))
-        if mf == "third":
-            return max(1, n_features // 3)
-        if isinstance(mf, float):
-            if not 0.0 < mf <= 1.0:
-                raise ValueError(f"max_features fraction must be in (0, 1], got {mf}")
-            return max(1, int(round(mf * n_features)))
-        if isinstance(mf, int):
-            if not 1 <= mf <= n_features:
-                raise ValueError(
-                    f"max_features={mf} out of range [1, {n_features}]"
-                )
-            return mf
-        raise ValueError(f"unrecognised max_features: {mf!r}")
 
     # -- fitting -------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RegressionTree":
         """Grow the tree on ``(X, y)``; returns ``self``."""
         X, y = check_training_data(X, y)
         n, d = X.shape
-        m = self._n_split_features(d)
-        nodes = self._grow_lists(X, y, n, d, m)
+        nodes = self._grow_lists(X, y, n, d, n_split_features(d))
         self.n_features_ = d
         (
             self.feature_,
@@ -149,9 +113,9 @@ class RegressionTree:
             return len(feature) - 1
 
         root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
+        stack: list[tuple[int, np.ndarray]] = [(root, np.arange(n))]
         while stack:
-            node, idx, depth = stack.pop()
+            node, idx = stack.pop()
             y_node = y[idx]
             # Mean/variance/SSE from one pass (Σy, Σy²): this is the hot
             # loop of forest construction, numpy reduction wrappers are
@@ -165,11 +129,7 @@ class RegressionTree:
             count[node] = k
             impurity[node] = max(q - s * s / k, 0.0)
 
-            if (
-                k < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or impurity[node] <= 1e-12
-            ):
+            if k < 2 or impurity[node] <= 1e-12:
                 continue
 
             if m >= d:
@@ -177,7 +137,7 @@ class RegressionTree:
             else:
                 feats = self.rng.choice(d, size=m, replace=False)
 
-            split = best_split(X[idx], y_node, feats, self.min_samples_leaf)
+            split = best_split(X[idx], y_node, feats)
             if split is None:
                 continue
             feature[node] = split.feature
@@ -186,8 +146,8 @@ class RegressionTree:
             ri = new_node()
             left[node] = li
             right[node] = ri
-            stack.append((li, idx[split.left_mask], depth + 1))
-            stack.append((ri, idx[~split.left_mask], depth + 1))
+            stack.append((li, idx[split.left_mask]))
+            stack.append((ri, idx[~split.left_mask]))
 
         return (
             np.asarray(feature, dtype=np.intp),

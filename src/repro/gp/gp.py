@@ -33,8 +33,9 @@ class GaussianProcessRegressor(Surrogate):
         Hyper-parameter optimisation restarts (first start is a fixed
         heuristic; the rest are random perturbations).
     optimize_hypers:
-        Disable to keep the heuristic initial hyper-parameters — used in
-        the active-learning loop's early iterations where n is tiny.
+        Disable to keep the heuristic initial hyper-parameters.  Only
+        :meth:`deserialize` disables it: a loaded GP keeps the fitted
+        hyper-parameters it was saved with.
     log_targets:
         Model ``log y`` instead of ``y``.  Execution times are positive
         and heavy-tailed; a plain GP's posterior mean can go negative on
@@ -248,10 +249,13 @@ class GaussianProcessRegressor(Surrogate):
         cls, payload: dict[str, np.ndarray]
     ) -> "GaussianProcessRegressor":
         """Rebuild a fitted GP that predicts but does not re-optimise."""
+        log_targets = payload["log_targets"]
+        if log_targets.ndim != 0 or log_targets.dtype != np.bool_:
+            raise ValueError(f"log_targets {log_targets!r} is not a boolean")
         gp = cls(
             n_restarts=0,
             optimize_hypers=False,
-            log_targets=bool(payload["log_targets"]),
+            log_targets=bool(log_targets),
         )
         for key, attr in cls._SCALARS:
             setattr(gp, attr, float(payload[key]))

@@ -183,6 +183,8 @@ class SelectSurrogate(Surrogate):
             builder=_unfit_builder,
         )
         model.chosen_name = str(payload["chosen"])
+        if model.chosen_name not in model.candidates:
+            raise ValueError(f"chosen {model.chosen_name!r} is not a candidate")
         model.model = load_surrogate(extract_blob(payload["chosen_blob"]))
         if "cv_names" in payload:
             model.cv_errors = {

@@ -95,7 +95,11 @@ def surrogate_from_payload(
     if "surrogate_kind" not in payload:
         raise EnvelopeError(source, _EXPECTED, "archive has no surrogate_kind stamp")
     kind = str(payload["surrogate_kind"])
-    schema = int(payload.get("surrogate_schema", SURROGATE_SCHEMA_VERSION))
+    schema = payload.get("surrogate_schema", np.asarray(SURROGATE_SCHEMA_VERSION))
+    if schema.ndim != 0 or schema.dtype.kind not in "iu":
+        raise EnvelopeError(
+            source, _EXPECTED, f"surrogate_schema {schema!r} is not an integer"
+        )
     if schema > SURROGATE_SCHEMA_VERSION:
         raise EnvelopeError(
             source,
@@ -121,7 +125,8 @@ def surrogate_from_payload(
             _EXPECTED,
             f"{kind!r} envelope is missing required key {exc.args[0]!r}",
         ) from None
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
+        # TypeError: a scalar key holding an array (int(np.array([1, 2]))).
         if isinstance(exc, EnvelopeError):
             raise
         raise EnvelopeError(

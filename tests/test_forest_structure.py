@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.forest import RandomForestRegressor, RegressionTree
 
@@ -23,9 +21,7 @@ class TestTreeStructure:
 
     def test_children_partition_counts(self, rng):
         X = rng.random((120, 2))
-        tree = RegressionTree(min_samples_leaf=3, rng=rng).fit(
-            X, rng.normal(size=120)
-        )
+        tree = RegressionTree(rng=rng).fit(X, rng.normal(size=120))
         internal = np.flatnonzero(tree.feature_ != -1)
         for i in internal:
             assert (
@@ -36,7 +32,7 @@ class TestTreeStructure:
     def test_leaf_values_are_leaf_means(self, rng):
         X = rng.random((60, 2))
         y = rng.normal(size=60)
-        tree = RegressionTree(min_samples_leaf=4, rng=rng).fit(X, y)
+        tree = RegressionTree(rng=rng).fit(X, y)
         leaves = tree.apply(X)
         for leaf in np.unique(leaves):
             members = y[leaves == leaf]
@@ -77,13 +73,3 @@ class TestForestStructure:
             return np.std(preds)
 
         assert spread(25) < spread(2)
-
-
-@given(seed=st.integers(0, 300), depth=st.integers(1, 6))
-@settings(max_examples=15, deadline=None)
-def test_property_depth_limit_respected(seed, depth):
-    rng = np.random.default_rng(seed)
-    X = rng.random((60, 3))
-    y = rng.normal(size=60)
-    tree = RegressionTree(max_depth=depth, rng=rng).fit(X, y)
-    assert tree.depth() <= depth

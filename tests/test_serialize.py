@@ -1,6 +1,7 @@
 """Tests for saving and loading models through the surrogate envelope."""
 
 import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.envelope import EnvelopeError
 from repro.forest import RandomForestRegressor
 from repro.forest.packed import FIELDS
 from repro.surrogate import load_surrogate, save_surrogate
+from repro.workloads.surrogate import load_distilled, zoo_dir
 
 
 @pytest.fixture
@@ -139,6 +141,19 @@ class TestTypedEnvelopeErrors:
             load(path)
         assert path in str(err.value)
 
+    @pytest.mark.parametrize("loader", ["surrogate", "distilled"])
+    def test_member_header_ending_in_open_bracket(self, loader):
+        """numpy re-tokenizes an .npy header that does not parse; one cut
+        off inside ``(`` raised tokenize.TokenError past the loaders."""
+        header = b"{'descr': '<i8', 'fortran_order': False, 'shape': (3\n"
+        npy = b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as archive:
+            archive.writestr("surrogate_kind.npy", npy)
+        load = {"surrogate": load_surrogate, "distilled": load_distilled}[loader]
+        with pytest.raises(EnvelopeError, match="corrupt or foreign file"):
+            load(io.BytesIO(buf.getvalue()))
+
     def test_envelope_error_is_a_value_error(self):
         from repro.envelope import EnvelopeError
 
@@ -214,13 +229,24 @@ _ODD_VALUES = st.sampled_from(
 )
 
 
-def _load_or_predict(blob: bytes) -> None:
-    """The loader either refuses ``blob`` with EnvelopeError or returns a
+#: Whole envelopes to damage, with the loader that reads each: the saved
+#: forest, and a committed zoo workload (its model) when present.
+_DAMAGEABLE = {"forest": (_SAVED, load_surrogate)}
+if zoo_dir() is not None:
+    _DAMAGEABLE["zoo"] = (
+        (zoo_dir() / "kripke-forest.npz").read_bytes(),
+        lambda file: load_distilled(file).model,
+    )
+_LONGEST = max(len(blob) for blob, _ in _DAMAGEABLE.values())
+
+
+def _load_or_predict(blob: bytes, load=load_surrogate) -> None:
+    """``load`` either refuses ``blob`` with EnvelopeError or returns a
     model that predicts on a query with its own feature count."""
     try:
         # A mutated float array cast to node ids may hold NaN.
         with np.errstate(invalid="ignore"):
-            model = load_surrogate(io.BytesIO(blob))
+            model = load(io.BytesIO(blob))
     except EnvelopeError as exc:
         assert "<in-memory bytes>: cannot load as" in str(exc)
         return
@@ -260,14 +286,16 @@ def _mutated_archives(draw) -> bytes:
 
 
 class TestEnvelopeBytesProperty:
-    """Malformed forest envelopes, whether the bytes or the arrays inside
-    are damaged, load as EnvelopeError or as a model that predicts —
-    never as another exception or a crash, in either kernel mode."""
+    """Malformed forest envelopes and distilled archives, whether the bytes
+    or the arrays inside are damaged, load as EnvelopeError or as a model
+    that predicts — never as another exception or a crash, in either
+    kernel mode."""
 
     @given(
-        cut=st.integers(0, len(_SAVED)),
+        source=st.sampled_from(sorted(_DAMAGEABLE)),
+        cut=st.integers(0, _LONGEST),
         flips=st.lists(
-            st.tuples(st.integers(0, len(_SAVED) - 1), st.integers(0, 7)),
+            st.tuples(st.integers(0, _LONGEST - 1), st.integers(0, 7)),
             min_size=1,
             max_size=3,
         ),
@@ -278,11 +306,13 @@ class TestEnvelopeBytesProperty:
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_damaged_bytes(self, kernel_mode, cut, flips, truncate):
-        blob = bytearray(_SAVED)
+    def test_damaged_bytes(self, kernel_mode, source, cut, flips, truncate):
+        saved, load = _DAMAGEABLE[source]
+        blob = bytearray(saved)
         for pos, bit in flips:
-            blob[pos] ^= 1 << bit
-        _load_or_predict(bytes(blob[:cut] if truncate else blob))
+            blob[pos % len(blob)] ^= 1 << bit
+        cut %= len(blob) + 1
+        _load_or_predict(bytes(blob[:cut] if truncate else blob), load)
 
     @given(blob=_mutated_archives())
     @settings(

@@ -30,6 +30,7 @@ from repro.surrogate import (
 from repro.surrogate import registry as registry_mod
 from repro.surrogate.select import fold_slices
 from repro.workloads import get_benchmark
+from repro.workloads.surrogate import load_distilled, zoo_dir
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +58,41 @@ def atax_data() -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
 
 def _fit(name: str, X, y, seed=0) -> Surrogate:
     return make_surrogate(name, rng=np.random.default_rng(seed)).fit(X, y)
+
+
+#: The 0-d keys of each envelope besides the two stamps: one per surrogate
+#: kind, read by load_surrogate, and a committed zoo workload's, read by
+#: load_distilled.
+_SCALAR_KEYS = {
+    "forest": ("format_version", "n_features", "uncertainty"),
+    "gp": ("lengthscale", "log_targets", "noise_variance", "signal_variance",
+           "y_mean", "y_scale"),
+    "select": ("chosen", "k_folds"),
+    "stack": ("k_folds",),
+    "zoo": ("format_version", "n_features", "uncertainty", "workload_meta",
+            "workload_schema"),
+}
+_STAMPS = ("surrogate_kind", "surrogate_schema")
+
+
+@pytest.fixture(scope="module")
+def envelopes() -> "dict[str, dict[str, np.ndarray]]":
+    """The payload of a fitted model of each surrogate kind, and of the
+    committed kripke zoo workload, keyed as :data:`_SCALAR_KEYS`."""
+    r = np.random.default_rng(0)
+    X, y = r.random((40, 3)), r.random(40) + 0.1
+    blobs = {
+        kind: surrogate_bytes(_fit(kind, X, y))
+        for kind in ("forest", "gp", "select", "stack")
+    }
+    root = zoo_dir()
+    if root is not None:
+        blobs["zoo"] = (root / "kripke-forest.npz").read_bytes()
+    payloads = {}
+    for kind, blob in blobs.items():
+        with np.load(io.BytesIO(blob)) as data:
+            payloads[kind] = {k: data[k] for k in data.files}
+    return payloads
 
 
 class TestRegistry:
@@ -306,6 +342,31 @@ class TestSerialization:
         with pytest.raises(EnvelopeError, match="model.npz") as err:
             load_surrogate(str(path))
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "value", [np.array([1, 2]), np.array([]), np.array("x")],
+        ids=["pair", "empty", "string"],
+    )
+    @pytest.mark.parametrize(
+        "kind, key",
+        [(kind, key) for kind, keys in _SCALAR_KEYS.items()
+         for key in keys + _STAMPS],
+    )
+    def test_malformed_scalar_key_raises_envelope_error(
+        self, envelopes, kind, key, value
+    ):
+        """A 0-d key holding an array or a string is refused with
+        EnvelopeError, never another exception."""
+        if kind not in envelopes:
+            pytest.skip("committed distilled workloads not present")
+        payload = envelopes[kind]
+        scalars = {k for k, v in payload.items() if v.ndim == 0}
+        assert scalars == set(_SCALAR_KEYS[kind] + _STAMPS)
+        buf = io.BytesIO()
+        np.savez(buf, **dict(payload, **{key: value}))
+        load = load_distilled if kind == "zoo" else load_surrogate
+        with pytest.raises(EnvelopeError):
+            load(io.BytesIO(buf.getvalue()))
 
 
 class TestEndToEnd:

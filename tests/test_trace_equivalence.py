@@ -18,7 +18,7 @@ import repro.active.learner as learner_mod
 import repro.forest
 import repro.forest._cgrower as _cgrower
 from repro.active import ActiveLearner, LearnerConfig
-from repro.forest import RandomForestRegressor, RegressionTree
+from repro.forest import RandomForestRegressor
 from repro.forest.uncertainty import across_tree_std, total_variance_std
 from repro.metrics import top_alpha_rmse
 from repro.sampling import make_strategy
@@ -78,25 +78,6 @@ def _random_problem(seed, n=180, d=7):
     return X, y
 
 
-def _assert_same_growth(X, y, seed, **params):
-    """The forest's grower, on one tree without a bootstrap, matches the
-    reference tree: all node arrays, bit for bit, and the RNG state
-    afterwards."""
-    ra = np.random.default_rng(seed + 99)
-    rb = np.random.default_rng(seed + 99)
-    ref = RegressionTree(rng=ra, **params).fit(X, y)
-    fast = RandomForestRegressor(
-        n_estimators=1, bootstrap=False, seed=rb, **params
-    ).fit(X, y).trees_[0]
-    for field in _TREE_FIELDS:
-        a, b = getattr(ref, field), getattr(fast, field)
-        assert a.shape == b.shape
-        assert a.dtype == b.dtype
-        assert a.tobytes() == b.tobytes(), field
-    # Identical RNG consumption, not just identical output.
-    assert ra.bit_generator.state == rb.bit_generator.state
-
-
 def _assert_same_packed(a, b, context) -> None:
     assert a.offsets.tobytes() == b.offsets.tobytes(), context
     for name, arr in a.arrays().items():
@@ -105,14 +86,24 @@ def _assert_same_packed(a, b, context) -> None:
         assert arr.tobytes() == other.tobytes(), (name, context)
 
 
+def _assert_same_growth(X, y, seed, n_estimators=3):
+    """The forest's grower matches the reference grower on the same seed:
+    all node arrays, bit for bit, and the RNG state afterwards."""
+    ref = _ReferenceForest(n_estimators=n_estimators, seed=seed + 99).fit(X, y)
+    fast = RandomForestRegressor(n_estimators=n_estimators, seed=seed + 99)
+    _assert_same_packed(ref.packed(), fast.fit(X, y).packed(), seed)
+    # Identical RNG consumption, not just identical output.
+    assert ref.rng.bit_generator.state == fast.rng.bit_generator.state
+
+
 _SIZES = (1, 2, 3, 5, 10, 37, 60, 150)
 
 
 def _random_forest_case(r):
     """Training data and forest settings for one whole-forest identity
     case: sample sizes from a single row up, 1 to 11 features mixing
-    continuous, tied, constant, few-level and signed-zero columns, with
-    and without bootstrap, and every form ``max_features`` takes."""
+    continuous, tied, constant, few-level and signed-zero columns, and 1
+    to 6 trees."""
     n = int(r.choice(_SIZES))
     d = int(r.integers(1, 12))
     X = r.normal(size=(n, d)) * 10.0 ** int(r.integers(-3, 4))
@@ -129,33 +120,14 @@ def _random_forest_case(r):
     y = r.normal(size=n) * 10.0 ** int(r.integers(-2, 3))
     if r.random() < 0.2:
         y = np.round(y)
-    max_features = [
-        None, "all", "sqrt", "third",
-        int(r.integers(1, d + 1)), float(r.uniform(0.05, 1.0)),
-    ][int(r.integers(6))]
     params = dict(
-        n_estimators=int(r.integers(1, 7)),
-        bootstrap=bool(r.random() < 0.8),
-        max_features=max_features,
-        min_samples_leaf=int(r.integers(1, 4)),
-        min_samples_split=int(r.integers(2, 7)),
-        max_depth=None if r.random() < 0.6 else int(r.integers(1, 7)),
-        seed=int(r.integers(2**31)),
+        n_estimators=int(r.integers(1, 7)), seed=int(r.integers(2**31))
     )
     return X, y, params
 
 
-#: Shapes and settings at the grower's edges: tiny samples with a single
-#: feature, the forest's min_samples_leaf=1, split and depth limits, and
-#: bootstrap-duplicated rows with a fractional max_features.
-_EDGE_CASES = {
-    "n1-d1": dict(n=1, d=1),
-    "n2-d1": dict(n=2, d=1),
-    "n3-d1": dict(n=3, d=1),
-    "leaf1": dict(min_samples_leaf=1),
-    "split5-depth3": dict(min_samples_split=5, max_depth=3, min_samples_leaf=2),
-    "bootstrap-frac": dict(bootstrap=True, max_features=0.5),
-}
+#: Shapes at the grower's edges: tiny samples with a single feature.
+_EDGE_CASES = {"n1-d1": (1, 1), "n2-d1": (2, 1), "n3-d1": (3, 1)}
 
 
 #: The growth tests compare the kernel with the reference grower, so they
@@ -165,26 +137,19 @@ _KERNEL_ONLY = pytest.mark.parametrize("kernel_mode", ["c-kernel"], indirect=Tru
 
 class TestTreeGrowth:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("max_features", [None, "third", "sqrt"])
+    @pytest.mark.parametrize("d", [2, 7, 11], ids=lambda d: f"d{d}")
     @_KERNEL_ONLY
-    def test_presorted_growth_bit_identical(self, kernel_mode, seed, max_features):
-        X, y = _random_problem(seed)
-        _assert_same_growth(
-            X, y, seed, max_features=max_features, min_samples_leaf=2
-        )
+    def test_presorted_growth_bit_identical(self, kernel_mode, seed, d):
+        X, y = _random_problem(seed, d=d)
+        _assert_same_growth(X, y, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("case", sorted(_EDGE_CASES))
     @_KERNEL_ONLY
     def test_edge_case_growth_bit_identical(self, kernel_mode, case, seed):
-        params = dict(_EDGE_CASES[case])
-        n, d = params.pop("n", 180), params.pop("d", 7)
+        n, d = _EDGE_CASES[case]
         X, y = _random_problem(seed, n=n, d=d)
-        if params.pop("bootstrap", False):
-            rows = np.random.default_rng(seed).integers(0, n, size=n)
-            X, y = X[rows], y[rows]
-        params.setdefault("max_features", "third")
-        _assert_same_growth(X, y, seed, **params)
+        _assert_same_growth(X, y, seed)
 
     def test_probe_mismatch_falls_back_to_numpy(self, monkeypatch):
         """A kernel whose reproduction of numpy disagrees is never used."""
@@ -197,7 +162,7 @@ class TestTreeGrowth:
         monkeypatch.setattr(_cgrower, "_attempted", False)
         assert _cgrower.load() is None
         X, y = _random_problem(4)
-        _assert_same_growth(X, y, 4, max_features="third")
+        _assert_same_growth(X, y, 4)
 
     def test_bootstrap_probe_mismatch_falls_back_to_numpy(self, monkeypatch):
         """A kernel whose bootstrap draw is off by one is never used, and a

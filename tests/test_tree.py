@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.forest import RegressionTree
+from repro.forest.tree import n_split_features
 
 
 class TestFitValidation:
@@ -31,14 +32,6 @@ class TestFitValidation:
         with pytest.raises(ValueError, match="finite"):
             RegressionTree().fit(X, np.array([1.0, np.nan, 2.0]))
 
-    def test_bad_hyperparameters(self):
-        with pytest.raises(ValueError):
-            RegressionTree(min_samples_split=1)
-        with pytest.raises(ValueError):
-            RegressionTree(min_samples_leaf=0)
-        with pytest.raises(ValueError):
-            RegressionTree(max_depth=0)
-
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError, match="not fitted"):
             RegressionTree().predict(np.zeros((1, 2)))
@@ -49,7 +42,8 @@ class TestFitting:
         X = rng.random((60, 3))
         y = rng.normal(size=60)
         tree = RegressionTree(rng=rng).fit(X, y)
-        # With distinct rows and min_samples_leaf=1 each point gets its leaf.
+        # A node splits until it holds one sample, so with distinct rows
+        # each point gets its own leaf.
         assert np.allclose(tree.predict(X), y, atol=1e-10)
 
     def test_constant_target_single_leaf(self):
@@ -57,20 +51,6 @@ class TestFitting:
         tree = RegressionTree().fit(X, np.full(20, 7.0))
         assert tree.n_nodes == 1
         assert tree.predict(X).tolist() == [7.0] * 20
-
-    def test_max_depth_limits_depth(self, rng):
-        X = rng.random((200, 3))
-        y = rng.normal(size=200)
-        tree = RegressionTree(max_depth=3, rng=rng).fit(X, y)
-        assert tree.depth() <= 3
-
-    def test_min_samples_leaf_respected(self, rng):
-        X = rng.random((100, 2))
-        y = rng.normal(size=100)
-        tree = RegressionTree(min_samples_leaf=10, rng=rng).fit(X, y)
-        leaves = tree.apply(X)
-        _, counts = np.unique(leaves, return_counts=True)
-        assert counts.min() >= 10
 
     def test_predictions_within_target_range(self, rng):
         X = rng.random((80, 4))
@@ -102,36 +82,26 @@ class TestInference:
     def test_leaf_stats_consistent_with_predict(self, rng):
         X = rng.random((60, 2))
         y = rng.normal(size=60)
-        tree = RegressionTree(min_samples_leaf=5, rng=rng).fit(X, y)
+        tree = RegressionTree(rng=rng).fit(X, y)
         mean, var, count = tree.leaf_stats(X)
         assert np.allclose(mean, tree.predict(X))
         assert (var >= 0).all()
-        assert (count >= 5).all()
+        # Each leaf counts the training rows that reach it.
+        leaves = tree.apply(X)
+        assert (count == np.bincount(leaves)[leaves]).all()
 
     def test_single_row_query(self, rng):
         tree = RegressionTree(rng=rng).fit(rng.random((20, 2)), rng.normal(size=20))
         assert tree.predict(np.zeros(2)).shape == (1,)
 
 
-class TestMaxFeatures:
+class TestSplitFeatures:
     @pytest.mark.parametrize(
-        "mf,expected",
-        [(None, 9), ("all", 9), ("sqrt", 3), ("third", 3), (5, 5), (0.5, 4)],
+        "d,expected", [(1, 1), (2, 1), (3, 1), (9, 3), (19, 6)]
     )
-    def test_n_split_features(self, mf, expected):
-        assert RegressionTree(max_features=mf)._n_split_features(9) == expected
-
-    def test_invalid_settings(self):
-        tree = RegressionTree(max_features=0)
-        with pytest.raises(ValueError):
-            tree._n_split_features(5)
-        with pytest.raises(ValueError):
-            RegressionTree(max_features=1.5)._n_split_features(5)
-        with pytest.raises(ValueError):
-            RegressionTree(max_features="nope")._n_split_features(5)
-
-    def test_third_floors_at_one(self):
-        assert RegressionTree(max_features="third")._n_split_features(2) == 1
+    def test_n_split_features(self, d, expected):
+        """A third of the features, floored at one."""
+        assert n_split_features(d) == expected
 
 
 class TestImportances:
@@ -148,15 +118,15 @@ class TestImportances:
         assert (tree.impurity_importances() >= 0).all()
 
 
-@given(seed=st.integers(0, 5000), leaf=st.integers(1, 8))
+@given(seed=st.integers(0, 5000))
 @settings(max_examples=30, deadline=None)
-def test_property_leaf_counts_partition_training_set(seed, leaf):
+def test_property_leaf_counts_partition_training_set(seed):
     """Every training sample lands in exactly one leaf; counts sum to n."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(10, 80))
     X = rng.random((n, 3))
     y = rng.normal(size=n)
-    tree = RegressionTree(min_samples_leaf=leaf, rng=rng).fit(X, y)
+    tree = RegressionTree(rng=rng).fit(X, y)
     leaves = tree.apply(X)
     _, counts = np.unique(leaves, return_counts=True)
     assert counts.sum() == n
