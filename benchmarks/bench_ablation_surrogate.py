@@ -26,7 +26,7 @@ def test_ablation_surrogate_family(benchmark, scale, output_dir):
                     scale,
                     seed=env_seed(),
                     alpha=0.05,
-                    config_overrides={"model": model},
+                    config_overrides={"surrogate": model},
                     label=f"pwu/{model}",
                 )
         return out

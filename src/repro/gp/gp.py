@@ -1,9 +1,10 @@
-"""Gaussian-process regression with marginal-likelihood hyper-fitting.
+"""Gaussian-process regression on log execution time.
 
 Standard exact GP: RBF kernel plus Gaussian observation noise, inputs
-z-scored per column and targets standardised internally.  Hyper-parameters
-``(log ℓ, log σ_f, log σ_n)`` maximise the log marginal likelihood via
-L-BFGS-B with analytic gradients, optionally from several restarts.
+z-scored per column, and targets modelled as ``log y``, standardised
+internally.  Hyper-parameters ``(log ℓ, log σ_f, log σ_n)`` maximise the
+log marginal likelihood via L-BFGS-B with analytic gradients, from a
+heuristic start and one random perturbation of it.
 
 The class is a :class:`~repro.surrogate.Surrogate` (``kind`` ``"gp"``),
 like :class:`repro.forest.RandomForestRegressor`, so either model can
@@ -23,27 +24,21 @@ __all__ = ["GaussianProcessRegressor"]
 
 _JITTER = 1e-10
 
+#: Tolerance of the load check on ``L`` and ``alpha``, relative to the kernel
+#: matrix: far above a solve's rounding, far below a change to a stored value.
+_SOLVE_RTOL = 1e-8
+
 
 class GaussianProcessRegressor(Surrogate):
-    """Exact GP regression (RBF + Gaussian noise).
+    """Exact GP regression (RBF + Gaussian noise) on ``log y``.
 
-    Parameters
-    ----------
-    n_restarts:
-        Hyper-parameter optimisation restarts (first start is a fixed
-        heuristic; the rest are random perturbations).
-    optimize_hypers:
-        Disable to keep the heuristic initial hyper-parameters.  Only
-        :meth:`deserialize` disables it: a loaded GP keeps the fitted
-        hyper-parameters it was saved with.
-    log_targets:
-        Model ``log y`` instead of ``y``.  Execution times are positive
-        and heavy-tailed; a plain GP's posterior mean can go negative on
-        them (the failure mode Section II-B alludes to).  With
-        ``log_targets`` the posterior is log-normal and predictions are
-        positive by construction (delta-method back-transform).
-    seed:
-        Stream for restart perturbations.
+    One configuration: :meth:`fit` maximises the marginal likelihood from a
+    heuristic start and one restart perturbed from ``seed``'s stream.
+    Execution times are positive and heavy-tailed, and a GP on raw times
+    has a posterior mean that goes negative on them (the failure mode
+    Section II-B alludes to).  On ``log y`` the posterior is log-normal and
+    predictions are positive (delta-method back-transform), so :meth:`fit`
+    refuses ``y <= 0``.
     """
 
     kind = "gp"
@@ -67,24 +62,34 @@ class GaussianProcessRegressor(Surrogate):
         ("y", "_y"),
     )
 
-    def __init__(
-        self,
-        n_restarts: int = 2,
-        optimize_hypers: bool = True,
-        log_targets: bool = False,
-        seed=None,
-    ) -> None:
-        if n_restarts < 0:
-            raise ValueError("n_restarts must be >= 0")
-        self.n_restarts = n_restarts
-        self.optimize_hypers = optimize_hypers
-        self.log_targets = log_targets
+    def __init__(self, seed=None) -> None:
         self.rng = as_generator(seed)
         self._fitted = False
+
+    # -- target transform --------------------------------------------------
+    @staticmethod
+    def _to_latent(y: np.ndarray) -> np.ndarray:
+        """Training labels → the targets the GP models, ``log y``."""
+        if np.any(y <= 0):
+            raise ValueError("the GP models log y and needs strictly positive targets")
+        return np.log(y)
+
+    @staticmethod
+    def _from_latent(mu: np.ndarray, sd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior (mean, std) of ``log y`` → of ``y``, by the delta method."""
+        mean = np.exp(mu + 0.5 * sd**2)
+        std = mean * np.sqrt(np.maximum(np.expm1(sd**2), 0.0))
+        return mean, std
 
     # -- internals ---------------------------------------------------------
     def _standardize(self, X: np.ndarray) -> np.ndarray:
         return (X - self._x_mean) / self._x_scale
+
+    def _rbf(self, sq: np.ndarray) -> np.ndarray:
+        return self.signal_variance_ * np.exp(-0.5 * sq / self.lengthscale_**2)
+
+    def _train_cov(self, sq: np.ndarray) -> np.ndarray:
+        return self._rbf(sq) + (self.noise_variance_ + _JITTER) * np.eye(len(sq))
 
     @staticmethod
     def _neg_log_marginal(
@@ -136,11 +141,7 @@ class GaussianProcessRegressor(Surrogate):
         self._x_mean = X.mean(axis=0)
         self._x_scale = np.where(X.std(axis=0) > 1e-12, X.std(axis=0), 1.0)
         Z = self._standardize(X)
-        y_work = y
-        if self.log_targets:
-            if np.any(y <= 0):
-                raise ValueError("log_targets requires strictly positive targets")
-            y_work = np.log(y)
+        y_work = self._to_latent(y)
         self._y_mean = float(y_work.mean())
         self._y_scale = float(y_work.std()) if y_work.std() > 1e-12 else 1.0
         t = (y_work - self._y_mean) / self._y_scale
@@ -151,35 +152,27 @@ class GaussianProcessRegressor(Surrogate):
         theta0 = np.log(np.array([max(med, 1e-3), 1.0, 0.1]))
 
         best_theta, best_nll = theta0, self._neg_log_marginal(theta0, sq, t)[0]
-        if self.optimize_hypers:
-            starts = [theta0] + [
-                theta0 + self.rng.normal(0.0, 0.7, size=3)
-                for _ in range(self.n_restarts)
-            ]
-            bounds = [(-5.0, 6.0), (-4.0, 4.0), (-7.0, 2.0)]
-            for start in starts:
-                res = optimize.minimize(
-                    self._neg_log_marginal,
-                    start,
-                    args=(sq, t),
-                    jac=True,
-                    method="L-BFGS-B",
-                    bounds=bounds,
-                    options={"maxiter": 60},
-                )
-                if np.isfinite(res.fun) and res.fun < best_nll:
-                    best_nll, best_theta = float(res.fun), res.x
+        starts = (theta0, theta0 + self.rng.normal(0.0, 0.7, size=3))
+        bounds = [(-5.0, 6.0), (-4.0, 4.0), (-7.0, 2.0)]
+        for start in starts:
+            res = optimize.minimize(
+                self._neg_log_marginal,
+                start,
+                args=(sq, t),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={"maxiter": 60},
+            )
+            if np.isfinite(res.fun) and res.fun < best_nll:
+                best_nll, best_theta = float(res.fun), res.x
 
         log_ell, log_sf, log_sn = best_theta
         self.lengthscale_ = float(np.exp(log_ell))
         self.signal_variance_ = float(np.exp(2.0 * log_sf))
         self.noise_variance_ = float(np.exp(2.0 * log_sn))
 
-        n = len(t)
-        K = self.signal_variance_ * np.exp(
-            -0.5 * sq / self.lengthscale_**2
-        ) + (self.noise_variance_ + _JITTER) * np.eye(n)
-        self._L = linalg.cholesky(K, lower=True)
+        self._L = linalg.cholesky(self._train_cov(sq), lower=True)
         self._alpha = linalg.cho_solve((self._L, True), t)
         self._Z = Z
         self._y = y.copy()
@@ -194,10 +187,6 @@ class GaussianProcessRegressor(Surrogate):
         return self._y
 
     # -- inference ---------------------------------------------------------------
-    def _cross_cov(self, Xq: np.ndarray) -> np.ndarray:
-        sq = squared_distances(self._standardize(Xq), self._Z)
-        return self.signal_variance_ * np.exp(-0.5 * sq / self.lengthscale_**2)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Posterior mean, in the original target units."""
         mu, _ = self.predict_with_uncertainty(X)
@@ -208,38 +197,21 @@ class GaussianProcessRegressor(Surrogate):
         if not self._fitted:
             raise RuntimeError("GP is not fitted; call fit() first")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Ks = self._cross_cov(X)
+        Ks = self._rbf(squared_distances(self._standardize(X), self._Z))
         mu = Ks @ self._alpha
         V = linalg.solve_triangular(self._L, Ks.T, lower=True)
         var = self.signal_variance_ - np.sum(V * V, axis=0)
         var = np.maximum(var, 0.0)
         mu_y = mu * self._y_scale + self._y_mean
         sd_y = np.sqrt(var) * self._y_scale
-        if self.log_targets:
-            # Delta-method back-transform of the log-normal posterior.
-            mean = np.exp(mu_y + 0.5 * sd_y**2)
-            std = mean * np.sqrt(np.maximum(np.expm1(sd_y**2), 0.0))
-            return mean, std
-        return mu_y, sd_y
-
-    def log_marginal_likelihood(self) -> float:
-        """Fitted model evidence (standardised-target units)."""
-        if not self._fitted:
-            raise RuntimeError("GP is not fitted; call fit() first")
-        n = len(self._alpha)
-        t = self._L @ (self._L.T @ self._alpha)  # reconstruct standardized y
-        return -(
-            0.5 * float(t @ self._alpha)
-            + float(np.log(np.diag(self._L)).sum())
-            + 0.5 * n * np.log(2.0 * np.pi)
-        )
+        return self._from_latent(mu_y, sd_y)
 
     # -- persistence -------------------------------------------------------
     def serialize(self) -> dict[str, np.ndarray]:
         """The fitted state: standardisation, hyper-parameters and solve."""
         if not self._fitted:
             raise ValueError("cannot serialize an unfitted GP surrogate")
-        payload = {"log_targets": np.asarray(self.log_targets)}
+        payload = {"log_targets": np.asarray(True)}  # constant; keeps the layout
         for key, attr in self._SCALARS + self._ARRAYS:
             payload[key] = np.asarray(getattr(self, attr))
         return payload
@@ -248,21 +220,50 @@ class GaussianProcessRegressor(Surrogate):
     def deserialize(
         cls, payload: dict[str, np.ndarray]
     ) -> "GaussianProcessRegressor":
-        """Rebuild a fitted GP that predicts but does not re-optimise."""
+        """Rebuild a fitted GP; ``ValueError`` for state no fit writes.
+
+        ``log_targets`` is a 0-d ``True`` and every number finite.  ``Z`` is
+        ``(n, d)`` with ``n >= 2`` and the other arrays match it, scales and
+        hyper-parameters are positive, ``L`` factors the kernel matrix and
+        ``alpha`` solves it for ``y``.  The model keeps its training data;
+        refitting it is a fresh fit from an unseeded stream, as for
+        ``make_surrogate("gp")``.
+        """
         log_targets = payload["log_targets"]
-        if log_targets.ndim != 0 or log_targets.dtype != np.bool_:
-            raise ValueError(f"log_targets {log_targets!r} is not a boolean")
-        gp = cls(
-            n_restarts=0,
-            optimize_hypers=False,
-            log_targets=bool(log_targets),
-        )
-        for key, attr in cls._SCALARS:
-            setattr(gp, attr, float(payload[key]))
-        for key, attr in cls._ARRAYS:
-            setattr(gp, attr, np.asarray(payload[key], dtype=np.float64))
+        if log_targets.shape != () or log_targets.dtype != np.bool_ or not log_targets:
+            raise ValueError(f"log_targets is {log_targets!r}; the GP models log y")
+        gp = cls()
+        for key, attr in cls._SCALARS + cls._ARRAYS:
+            value, scalar = payload[key], (key, attr) in cls._SCALARS
+            if (value.dtype.kind not in "iuf" or (scalar and value.ndim)
+                    or not np.isfinite(value).all()):
+                what = "number" if scalar else "array"
+                raise ValueError(f"{key} is not a finite real {what}")
+            value = np.asarray(value, dtype=np.float64)
+            setattr(gp, attr, float(value) if scalar else value)
+        gp._check_state()
         gp._fitted = True
         return gp
+
+    def _check_state(self) -> None:
+        n, d = self._Z.shape if self._Z.ndim == 2 else (0, 0)
+        arrays = (self._x_mean, self._x_scale, self._alpha, self._y, self._L)
+        shapes = tuple(a.shape for a in arrays)
+        if n < 2 or shapes != ((d,), (d,), (n,), (n,), (n, n)):
+            raise ValueError(f"x_mean, x_scale, alpha, y and L have shapes {shapes}, "
+                             f"which do not fit Z's {self._Z.shape}")
+        positive = (self._x_scale, np.diag(self._L), self._y_scale, self.lengthscale_,
+                    self.signal_variance_, self.noise_variance_)
+        if not all(np.all(np.asarray(value) > 0) for value in positive):
+            raise ValueError("a scale, hyper-parameter or pivot of L is not positive")
+        K = self._train_cov(squared_distances(self._Z, self._Z))
+        t = (self._to_latent(self._y) - self._y_mean) / self._y_scale
+        tol = _SOLVE_RTOL * K.diagonal().max()
+        if not np.all(np.abs(self._L @ self._L.T - K) <= tol):
+            raise ValueError("L is not the Cholesky factor of the kernel matrix")
+        bound = tol * np.abs(self._alpha).sum() + _SOLVE_RTOL * np.abs(t).max()
+        if not np.all(np.abs(K @ self._alpha - t) <= bound):
+            raise ValueError("alpha does not solve the kernel matrix for y")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self._fitted:
@@ -271,3 +272,4 @@ class GaussianProcessRegressor(Surrogate):
             f"GaussianProcessRegressor(l={self.lengthscale_:.3g}, "
             f"sf2={self.signal_variance_:.3g}, sn2={self.noise_variance_:.3g})"
         )
+

@@ -1,10 +1,10 @@
-"""Covariance functions for the GP surrogate."""
+"""Pairwise distances for the GP surrogate's RBF kernel."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rbf_kernel", "squared_distances"]
+__all__ = ["squared_distances"]
 
 
 def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -21,21 +21,3 @@ def squared_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     bb = np.sum(B * B, axis=1)[None, :]
     sq = aa + bb - 2.0 * (A @ B.T)
     return np.maximum(sq, 0.0)
-
-
-def rbf_kernel(
-    A: np.ndarray,
-    B: np.ndarray,
-    lengthscale: float,
-    signal_variance: float,
-) -> np.ndarray:
-    """Isotropic squared-exponential covariance.
-
-    .. math:: k(a, b) = \\sigma_f^2 \\exp\\left(-\\frac{\\|a-b\\|^2}{2\\ell^2}\\right)
-    """
-    if lengthscale <= 0:
-        raise ValueError(f"lengthscale must be positive, got {lengthscale}")
-    if signal_variance <= 0:
-        raise ValueError(f"signal_variance must be positive, got {signal_variance}")
-    sq = squared_distances(A, B)
-    return signal_variance * np.exp(-0.5 * sq / (lengthscale**2))

@@ -109,6 +109,9 @@ class Surrogate(ABC):
     def deserialize(cls, payload: dict[str, np.ndarray]) -> "Surrogate":
         """Rebuild a fitted surrogate from :meth:`serialize`'s payload.
 
-        The returned model predicts but holds no training data, so it
-        cannot keep learning; refit from data if you need to.
+        Raises ``ValueError`` for a payload no fit writes (each family
+        checks its arrays and its one configuration).  The returned model
+        predicts what the saved one did but does not continue its learning:
+        a refitted forest or GP starts afresh, and ``select``/``stack``
+        cannot refit.
         """

@@ -116,9 +116,7 @@ def _forest_factory(config, rng) -> Surrogate:
 def _gp_factory(config, rng) -> Surrogate:
     from repro.gp import GaussianProcessRegressor
 
-    # One optimisation restart; log_targets keeps predicted times
-    # positive (execution times are) — see repro.gp.
-    return GaussianProcessRegressor(n_restarts=1, log_targets=True, seed=rng)
+    return GaussianProcessRegressor(seed=rng)
 
 
 def _candidate_builder(config, rng):

@@ -7,6 +7,10 @@ mass, the GP often wins the data-starved early rounds.  ``select`` picks
 the family *per refit* by k-fold cross-validated RMSE on the labels
 collected so far, then refits the winner on everything.
 
+There is one configuration, shared with ``stack``: :data:`CANDIDATES`
+and :data:`K_FOLDS`.  Envelopes still record both, and a load refuses
+any other value (:func:`check_config`).
+
 Determinism: the fold permutation derives from a single integer drawn
 from the learner's seeded stream at construction time, combined with the
 current training-set size via :func:`repro.rng.derive` — so fold
@@ -29,16 +33,21 @@ from repro.rng import as_generator, derive
 from repro.surrogate.base import Surrogate
 from repro.telemetry import counters, span
 
-__all__ = ["SelectSurrogate", "cv_rmse"]
+__all__ = ["SelectSurrogate", "cv_rmse", "CANDIDATES", "K_FOLDS"]
+
+#: The one configuration of ``select`` and ``stack``: the candidate
+#: families in declaration order, and the cross-validation folds.
+CANDIDATES: tuple[str, ...] = ("forest", "gp")
+K_FOLDS = 3
 
 
-def fold_slices(n: int, k_folds: int, fold_seed: int) -> "list[np.ndarray] | None":
+def fold_slices(n: int, fold_seed: int) -> "list[np.ndarray] | None":
     """Deterministic k-fold index partition, or ``None`` if infeasible.
 
     Feasible means every fold leaves at least two training rows (the GP's
     minimum) and holds at least one validation row.
     """
-    k = min(k_folds, n)
+    k = min(K_FOLDS, n)
     if k < 2 or n - int(np.ceil(n / k)) < 2:
         return None
     perm = derive(fold_seed, "folds", n).permutation(n)
@@ -46,12 +55,7 @@ def fold_slices(n: int, k_folds: int, fold_seed: int) -> "list[np.ndarray] | Non
 
 
 def cv_rmse(
-    builder,
-    candidates: "tuple[str, ...]",
-    X: np.ndarray,
-    y: np.ndarray,
-    k_folds: int,
-    fold_seed: int,
+    builder, X: np.ndarray, y: np.ndarray, fold_seed: int
 ) -> "dict[str, float] | None":
     """Per-candidate k-fold cross-validated RMSE on ``(X, y)``.
 
@@ -63,13 +67,13 @@ def cv_rmse(
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    folds = fold_slices(len(y), k_folds, fold_seed)
+    folds = fold_slices(len(y), fold_seed)
     if folds is None:
         return None
     all_idx = np.arange(len(y))
     errors: dict[str, float] = {}
     with span("surrogate.cv", n_train=len(y), k=len(folds)):
-        for name in candidates:
+        for name in CANDIDATES:
             sq_sum, n_val = 0.0, 0
             for val_idx in folds:
                 train_idx = np.setdiff1d(all_idx, val_idx)
@@ -88,30 +92,37 @@ def cv_rmse(
     return errors
 
 
+def check_config(payload: "dict[str, np.ndarray]", names_key: str) -> None:
+    """``ValueError`` unless an envelope records the one configuration."""
+    _expect(payload, names_key, CANDIDATES)
+    _expect(payload, "k_folds", K_FOLDS)
+
+
+def read_cv_errors(payload: "dict[str, np.ndarray]") -> dict[str, float]:
+    """An envelope's CV RMSE per candidate (empty if it records none)."""
+    if "cv_names" not in payload:
+        return {}
+    _expect(payload, "cv_names", CANDIDATES)
+    rmse = payload["cv_rmse"]
+    if (rmse.shape != (len(CANDIDATES),) or rmse.dtype.kind != "f"
+            or not (rmse >= 0).all()):
+        raise ValueError(f"cv_rmse is {rmse!r}, expected one RMSE per candidate")
+    return dict(zip(CANDIDATES, map(float, rmse)))
+
+
+def _expect(payload: "dict[str, np.ndarray]", key: str, value) -> None:
+    arr, want = payload[key], np.asarray(value)
+    if (arr.dtype.kind != want.dtype.kind or arr.shape != want.shape
+            or (arr != want).any()):
+        raise ValueError(f"{key} is {arr!r}, expected {want!r}")
+
+
 class SelectSurrogate(Surrogate):
-    """Per-refit cross-validated selection among registered candidates."""
+    """Per-refit cross-validated selection among :data:`CANDIDATES`."""
 
     kind = "select"
 
-    def __init__(
-        self,
-        candidates: "tuple[str, ...]" = ("forest", "gp"),
-        k_folds: int = 3,
-        builder=None,
-        seed=None,
-    ) -> None:
-        candidates = tuple(candidates)
-        if not candidates:
-            raise ValueError("select needs at least one candidate surrogate")
-        if k_folds < 2:
-            raise ValueError(f"k_folds must be >= 2, got {k_folds}")
-        if builder is None:
-            from repro.surrogate.registry import make_surrogate
-
-            rng = as_generator(seed)
-            builder = lambda name: make_surrogate(name, rng=rng)  # noqa: E731
-        self.candidates = candidates
-        self.k_folds = int(k_folds)
+    def __init__(self, builder, seed=None) -> None:
         self._builder = builder
         # One draw: fold assignment becomes a pure function of
         # (run seed, n_train) for the rest of this surrogate's life.
@@ -121,17 +132,15 @@ class SelectSurrogate(Surrogate):
         self.model: "Surrogate | None" = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "SelectSurrogate":
-        errors = cv_rmse(
-            self._builder, self.candidates, X, y, self.k_folds, self._fold_seed
-        )
+        errors = cv_rmse(self._builder, X, y, self._fold_seed)
         if errors is None:
             # Too little data to cross-validate: deterministic fallback.
             self.cv_errors = {}
-            self.chosen_name = self.candidates[0]
+            self.chosen_name = CANDIDATES[0]
         else:
             self.cv_errors = errors
             # min() keeps the first candidate on ties (declaration order).
-            self.chosen_name = min(self.candidates, key=lambda n: errors[n])
+            self.chosen_name = min(CANDIDATES, key=lambda n: errors[n])
         with span("surrogate.select", chosen=self.chosen_name, n_train=len(y)):
             self.model = self._builder(self.chosen_name).fit(X, y)
         counters.inc("surrogate.selections")
@@ -163,8 +172,8 @@ class SelectSurrogate(Surrogate):
 
         model = self._fitted_model()
         payload = {
-            "candidates": np.asarray(self.candidates),
-            "k_folds": np.asarray(self.k_folds),
+            "candidates": np.asarray(CANDIDATES),
+            "k_folds": np.asarray(K_FOLDS),
             "chosen": np.asarray(self.chosen_name),
             "chosen_blob": embed_blob(surrogate_bytes(model)),
         }
@@ -175,28 +184,28 @@ class SelectSurrogate(Surrogate):
 
     @classmethod
     def deserialize(cls, payload: dict[str, np.ndarray]) -> "SelectSurrogate":
+        """Rebuild a fitted ``select`` that cannot refit; ``ValueError``
+        unless it is in the one configuration and holds the chosen family."""
         from repro.surrogate.serialize import extract_blob, load_surrogate
 
-        model = cls(
-            candidates=tuple(str(c) for c in payload["candidates"]),
-            k_folds=int(payload["k_folds"]),
-            builder=_unfit_builder,
-        )
+        check_config(payload, "candidates")
+        model = cls(builder=_unfit_builder)
         model.chosen_name = str(payload["chosen"])
-        if model.chosen_name not in model.candidates:
+        if model.chosen_name not in CANDIDATES:
             raise ValueError(f"chosen {model.chosen_name!r} is not a candidate")
         model.model = load_surrogate(extract_blob(payload["chosen_blob"]))
-        if "cv_names" in payload:
-            model.cv_errors = {
-                str(n): float(e)
-                for n, e in zip(payload["cv_names"], payload["cv_rmse"])
-            }
+        if model.model.kind != model.chosen_name:
+            raise ValueError(
+                f"chosen_blob holds a {model.model.kind!r} model, "
+                f"not the chosen {model.chosen_name!r}"
+            )
+        model.cv_errors = read_cv_errors(payload)
         return model
 
 
 def _unfit_builder(name: str) -> Surrogate:
     """Builder for deserialized shells — they predict but cannot refit."""
     raise RuntimeError(
-        "this select surrogate was loaded from disk and cannot refit; "
+        "this surrogate was loaded from disk and cannot refit; "
         "construct a fresh one (repro.surrogate.make_surrogate) to keep learning"
     )

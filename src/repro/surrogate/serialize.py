@@ -138,9 +138,10 @@ def load_surrogate(file) -> Surrogate:
     """Load any surrogate envelope from ``file`` (path or file object).
 
     Dispatches on the ``surrogate_kind`` stamp.  The returned model
-    predicts but holds no training data, so it cannot keep learning.
-    Unreadable files — missing, truncated, not an npz archive, without
-    the stamp or other schema keys, or corrupt model arrays — raise a typed
+    predicts what the saved one did but does not continue its learning
+    (see :meth:`Surrogate.deserialize`).  Unreadable files — missing,
+    truncated, not an npz archive, without the stamp or other schema
+    keys, or model arrays that fail the family's checks — raise a typed
     :class:`~repro.envelope.EnvelopeError` naming the file and the
     expected schema.
     """

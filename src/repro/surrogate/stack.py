@@ -14,6 +14,9 @@ diverge, the ensemble is honest about not knowing, and PWU/MaxU — which
 only see ``(μ, σ)`` — are drawn toward exactly those regions.  That is
 the multi-model active-learning mechanism of Ghaffari et al. (PAPERS.md).
 
+The members and folds are ``select``'s one configuration, checked at
+load the same way.
+
 Determinism matches ``select``: fold assignment derives from one integer
 drawn at construction plus the training-set size, and members fit in
 declaration order, so histories are bit-identical at any ``--jobs``.
@@ -27,7 +30,7 @@ import numpy as np
 
 from repro.rng import as_generator
 from repro.surrogate.base import Surrogate
-from repro.surrogate.select import cv_rmse
+from repro.surrogate.select import CANDIDATES, K_FOLDS, cv_rmse
 from repro.telemetry import counters, span
 
 __all__ = ["StackSurrogate"]
@@ -36,29 +39,11 @@ _EPS = 1e-12
 
 
 class StackSurrogate(Surrogate):
-    """Inverse-CV-error weighted blend of registered surrogates."""
+    """Inverse-CV-error weighted blend of the ``CANDIDATES`` families."""
 
     kind = "stack"
 
-    def __init__(
-        self,
-        members: "tuple[str, ...]" = ("forest", "gp"),
-        k_folds: int = 3,
-        builder=None,
-        seed=None,
-    ) -> None:
-        members = tuple(members)
-        if len(members) < 2:
-            raise ValueError("stack needs at least two member surrogates")
-        if k_folds < 2:
-            raise ValueError(f"k_folds must be >= 2, got {k_folds}")
-        if builder is None:
-            from repro.surrogate.registry import make_surrogate
-
-            rng = as_generator(seed)
-            builder = lambda name: make_surrogate(name, rng=rng)  # noqa: E731
-        self.members = members
-        self.k_folds = int(k_folds)
+    def __init__(self, builder, seed=None) -> None:
         self._builder = builder
         self._fold_seed = int(as_generator(seed).integers(0, 2**63 - 1))
         self.weights: "np.ndarray | None" = None
@@ -66,24 +51,20 @@ class StackSurrogate(Surrogate):
         self.models: "tuple[Surrogate, ...] | None" = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "StackSurrogate":
-        errors = cv_rmse(
-            self._builder, self.members, X, y, self.k_folds, self._fold_seed
-        )
+        errors = cv_rmse(self._builder, X, y, self._fold_seed)
         if errors is None:
             self.cv_errors = {}
-            raw = np.ones(len(self.members))
+            raw = np.ones(len(CANDIDATES))
         else:
             self.cv_errors = errors
-            raw = np.array([1.0 / (errors[m] + _EPS) for m in self.members])
+            raw = np.array([1.0 / (errors[m] + _EPS) for m in CANDIDATES])
             if not np.isfinite(raw).any() or raw.sum() <= 0.0:
                 # Every member failed CV — weight them equally and let
                 # the full-data fits below raise if they also fail.
-                raw = np.ones(len(self.members))
+                raw = np.ones(len(CANDIDATES))
         self.weights = raw / raw.sum()
-        with span("surrogate.stack", n_train=len(y), members=len(self.members)):
-            self.models = tuple(
-                self._builder(m).fit(X, y) for m in self.members
-            )
+        with span("surrogate.stack", n_train=len(y), members=len(CANDIDATES)):
+            self.models = tuple(self._builder(m).fit(X, y) for m in CANDIDATES)
         counters.inc("surrogate.stack_fits")
         return self
 
@@ -123,8 +104,8 @@ class StackSurrogate(Surrogate):
 
         models = self._fitted_models()
         payload: dict[str, np.ndarray] = {
-            "members": np.asarray(self.members),
-            "k_folds": np.asarray(self.k_folds),
+            "members": np.asarray(CANDIDATES),
+            "k_folds": np.asarray(K_FOLDS),
             "weights": np.asarray(self.weights),
         }
         if self.cv_errors:
@@ -136,22 +117,25 @@ class StackSurrogate(Surrogate):
 
     @classmethod
     def deserialize(cls, payload: dict[str, np.ndarray]) -> "StackSurrogate":
-        from repro.surrogate.select import _unfit_builder
+        """Rebuild a fitted ``stack`` that cannot refit; ``ValueError`` unless
+        it is in the one configuration with one finite weight >= 0 per member
+        and holds the forest then the GP."""
+        from repro.surrogate.select import _unfit_builder, check_config, read_cv_errors
         from repro.surrogate.serialize import extract_blob, load_surrogate
 
-        model = cls(
-            members=tuple(str(m) for m in payload["members"]),
-            k_folds=int(payload["k_folds"]),
-            builder=_unfit_builder,
-        )
-        model.weights = np.asarray(payload["weights"], dtype=np.float64)
+        check_config(payload, "members")
+        weights = payload["weights"]
+        if (weights.shape != (len(CANDIDATES),) or weights.dtype.kind != "f"
+                or not (np.isfinite(weights) & (weights >= 0)).all()):
+            raise ValueError(f"weights is {weights!r}, expected one >= 0 per member")
+        model = cls(builder=_unfit_builder)
+        model.weights = weights
         model.models = tuple(
             load_surrogate(extract_blob(payload[f"member_{i}_blob"]))
-            for i in range(len(model.members))
+            for i in range(len(CANDIDATES))
         )
-        if "cv_names" in payload:
-            model.cv_errors = {
-                str(n): float(e)
-                for n, e in zip(payload["cv_names"], payload["cv_rmse"])
-            }
+        kinds = tuple(m.kind for m in model.models)
+        if kinds != CANDIDATES:
+            raise ValueError(f"member blobs hold {kinds}, expected {CANDIDATES}")
+        model.cv_errors = read_cv_errors(payload)
         return model

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.envelope import EnvelopeError
 from repro.forest import RandomForestRegressor
 from repro.forest.packed import FIELDS
-from repro.surrogate import load_surrogate, save_surrogate
+from repro.surrogate import load_surrogate, make_surrogate, save_surrogate
 from repro.workloads.surrogate import load_distilled, zoo_dir
 
 
@@ -206,19 +206,42 @@ class TestCorruptNodeArrays:
         assert str(path) in str(err.value)
 
 
-def _saved_forest() -> bytes:
+#: Feature count of the rows every saved model below is fitted on.
+_WIDTH = 4
+
+
+def _saved_models() -> "dict[str, bytes]":
+    """A saved model of each surrogate kind, all fitted on the same rows."""
     r = np.random.default_rng(5)
-    X = np.round(r.random((40, 4)), 2)
-    forest = RandomForestRegressor(n_estimators=4, seed=5).fit(X, r.random(40))
-    buf = io.BytesIO()
-    save_surrogate(forest, buf)
-    return buf.getvalue()
+    X = np.round(r.random((40, _WIDTH)), 2)
+    y = r.random(40)
+    models = {"forest": RandomForestRegressor(n_estimators=4, seed=5).fit(X, y)}
+    for kind in ("gp", "select", "stack"):
+        models[kind] = make_surrogate(kind, rng=np.random.default_rng(5)).fit(X, y)
+    saved = {}
+    for kind, model in models.items():
+        buf = io.BytesIO()
+        save_surrogate(model, buf)
+        saved[kind] = buf.getvalue()
+    return saved
 
 
-_SAVED = _saved_forest()
-with np.load(io.BytesIO(_SAVED)) as _data:
-    _PAYLOAD = {key: _data[key] for key in _data.files}
-_N_NODES = len(_PAYLOAD["packed_feature"])
+def _payload(blob: bytes) -> "dict[str, np.ndarray]":
+    with np.load(io.BytesIO(blob)) as data:
+        return {key: data[key] for key in data.files}
+
+
+_SAVED = _saved_models()
+_PAYLOADS = {kind: _payload(blob) for kind, blob in _SAVED.items()}
+_N_NODES = len(_PAYLOADS["forest"]["packed_feature"])
+
+#: The keys a mutation may change: the forest's node arrays, offsets and
+#: feature count, and every key but the two stamps of the other kinds.
+_MUTABLE = {
+    kind: [key for key in payload if key not in ("surrogate_kind", "surrogate_schema")]
+    for kind, payload in _PAYLOADS.items()
+}
+_MUTABLE["forest"] = [f"packed_{name}" for name in FIELDS] + ["offsets", "n_features"]
 
 #: Entries a mutation writes into an array: ids at and around every
 #: boundary a traversal relies on, huge and negative ids, and non-finite
@@ -231,7 +254,7 @@ _ODD_VALUES = st.sampled_from(
 
 #: Whole envelopes to damage, with the loader that reads each: the saved
 #: forest, and a committed zoo workload (its model) when present.
-_DAMAGEABLE = {"forest": (_SAVED, load_surrogate)}
+_DAMAGEABLE = {"forest": (_SAVED["forest"], load_surrogate)}
 if zoo_dir() is not None:
     _DAMAGEABLE["zoo"] = (
         (zoo_dir() / "kripke-forest.npz").read_bytes(),
@@ -240,9 +263,11 @@ if zoo_dir() is not None:
 _LONGEST = max(len(blob) for blob, _ in _DAMAGEABLE.values())
 
 
-def _load_or_predict(blob: bytes, load=load_surrogate) -> None:
+def _load_or_predict(blob: bytes, load=load_surrogate, finite=False) -> None:
     """``load`` either refuses ``blob`` with EnvelopeError or returns a
-    model that predicts on a query with its own feature count."""
+    model that predicts on a query with its own feature count (the
+    forest's ``n_features_``, else the width the models were fitted at):
+    one value per row, and finite ones if ``finite``."""
     try:
         # A mutated float array cast to node ids may hold NaN.
         with np.errstate(invalid="ignore"):
@@ -250,22 +275,25 @@ def _load_or_predict(blob: bytes, load=load_surrogate) -> None:
     except EnvelopeError as exc:
         assert "<in-memory bytes>: cannot load as" in str(exc)
         return
-    Q = np.random.default_rng(0).random((9, model.n_features_))
+    Q = np.random.default_rng(0).random((9, getattr(model, "n_features_", _WIDTH)))
     mu = model.predict(Q)
     mu_u, sd = model.predict_with_uncertainty(Q)
     assert mu.shape == mu_u.shape == sd.shape == (9,)
+    if finite:
+        assert np.isfinite(np.stack([mu, mu_u, sd])).all()
 
 
 @st.composite
-def _mutated_archives(draw) -> bytes:
-    """A saved forest with its node arrays, offsets or feature count
-    changed inside an otherwise valid archive."""
-    payload = {key: arr.copy() for key, arr in _PAYLOAD.items()}
-    keys = [f"packed_{name}" for name in FIELDS] + ["offsets", "n_features"]
+def _mutated_archives(draw, kind: str = "forest") -> bytes:
+    """A saved model of ``kind`` with one to three of its :data:`_MUTABLE`
+    keys changed inside an otherwise valid archive: an entry set to an
+    odd value, or the array truncated, reshaped, cast to float or made
+    0-d."""
+    payload = {key: arr.copy() for key, arr in _PAYLOADS[kind].items()}
     for _ in range(draw(st.integers(1, 3))):
-        key = draw(st.sampled_from(keys))
+        key = draw(st.sampled_from(_MUTABLE[kind]))
         arr = payload[key]
-        how = draw(st.sampled_from(["set", "truncate", "reshape", "float"]))
+        how = draw(st.sampled_from(["set", "truncate", "reshape", "float", "0-d"]))
         if key == "n_features":
             payload[key] = np.asarray(draw(st.integers(-1, 12)))
         elif how == "set" and arr.size:
@@ -273,13 +301,16 @@ def _mutated_archives(draw) -> bytes:
             value = draw(_ODD_VALUES)
             if arr.dtype.kind in "iu" and not np.isfinite(value):
                 value = -1
-            arr.reshape(-1)[i] = value
+            # astype wraps a value into a nested envelope's uint8 range.
+            arr.reshape(-1)[i] = np.asarray(value).astype(arr.dtype)
         elif how == "truncate":
             payload[key] = arr.reshape(-1)[: draw(st.integers(0, arr.size))]
         elif how == "reshape" and arr.size % 2 == 0:
             payload[key] = arr.reshape(2, -1)
-        elif how == "float":
+        elif how == "float" and arr.dtype.kind in "biuf":
             payload[key] = arr.astype(np.float64) + 0.25
+        elif how == "0-d" and arr.size:
+            payload[key] = arr.reshape(-1)[draw(st.integers(0, arr.size - 1))].copy()
     buf = io.BytesIO()
     np.savez_compressed(buf, **payload)
     return buf.getvalue()
@@ -322,3 +353,59 @@ class TestEnvelopeBytesProperty:
     )
     def test_mutated_arrays(self, kernel_mode, blob):
         _load_or_predict(blob)
+
+    @pytest.mark.parametrize("kind", ["gp", "select", "stack"])
+    @given(data=st.data())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_mutated_model_arrays(self, kind, data):
+        """The GP and the meta-surrogates refuse a changed key or load as a
+        model whose predictions are finite."""
+        _load_or_predict(data.draw(_mutated_archives(kind)), finite=True)
+
+
+def _swap_blobs(payload):
+    payload["member_0_blob"], payload["member_1_blob"] = (
+        payload["member_1_blob"], payload["member_0_blob"])
+
+
+def _flip_chosen(payload):
+    other = {"forest": "gp", "gp": "forest"}[str(payload["chosen"])]
+    payload["chosen"] = np.asarray(other)
+
+
+class TestOneConfiguration:
+    """Each family is fitted in one configuration; an envelope that records
+    another, or nests the wrong families, is refused at load."""
+
+    @pytest.mark.parametrize(
+        "kind, change",
+        [
+            ("gp", {"log_targets": np.asarray(False)}),
+            ("select", {"candidates": np.asarray(("gp", "forest"))}),
+            ("select", {"k_folds": np.asarray(2)}),
+            ("select", {"cv_names": np.asarray(("forest",)),
+                        "cv_rmse": np.asarray((0.5,))}),
+            ("select", _flip_chosen),
+            ("stack", {"members": np.asarray(("forest", "gp", "gp"))}),
+            ("stack", {"k_folds": np.asarray(4)}),
+            ("stack", {"weights": np.asarray((0.5, 0.25, 0.25))}),
+            ("stack", _swap_blobs),
+        ],
+        ids=["gp-raw-targets", "select-candidates", "select-folds",
+             "select-cv-short", "select-chosen-blob", "stack-members",
+             "stack-folds", "stack-weights", "stack-blob-order"],
+    )
+    def test_refused_at_load(self, kind, change):
+        payload = dict(_PAYLOADS[kind])
+        if callable(change):
+            change(payload)
+        else:
+            payload.update(change)
+        buf = io.BytesIO()
+        np.savez(buf, **payload)
+        with pytest.raises(EnvelopeError):
+            load_surrogate(io.BytesIO(buf.getvalue()))

@@ -28,7 +28,7 @@ from repro.surrogate import (
     surrogate_entry,
 )
 from repro.surrogate import registry as registry_mod
-from repro.surrogate.select import fold_slices
+from repro.surrogate.select import K_FOLDS, fold_slices
 from repro.workloads import get_benchmark
 from repro.workloads.surrogate import load_distilled, zoo_dir
 
@@ -217,23 +217,38 @@ class TestDeterminism:
         assert np.array_equal(mu_a, mu_b) and np.array_equal(sd_a, sd_b)
 
     def test_fold_assignment_depends_only_on_seed_and_size(self):
-        folds_a = fold_slices(30, 3, fold_seed=99)
-        folds_b = fold_slices(30, 3, fold_seed=99)
+        folds_a = fold_slices(30, fold_seed=99)
+        folds_b = fold_slices(30, fold_seed=99)
         assert all(np.array_equal(fa, fb) for fa, fb in zip(folds_a, folds_b))
-        folds_c = fold_slices(30, 3, fold_seed=100)
+        folds_c = fold_slices(30, fold_seed=100)
         assert any(
             not np.array_equal(fa, fc) for fa, fc in zip(folds_a, folds_c)
         )
 
     def test_fold_slices_infeasible_cases(self):
-        assert fold_slices(2, 3, fold_seed=0) is None  # 1 training row left
-        assert fold_slices(3, 2, fold_seed=0) is None
-        assert fold_slices(1, 2, fold_seed=0) is None
-        folds = fold_slices(30, 3, fold_seed=0)
+        assert fold_slices(2, fold_seed=0) is None  # 1 training row left
+        assert fold_slices(1, fold_seed=0) is None
+        assert [len(f) for f in fold_slices(3, fold_seed=0)] == [1, 1, 1]
+        folds = fold_slices(30, fold_seed=0)
+        assert len(folds) == K_FOLDS
         assert sorted(np.concatenate(folds)) == list(range(30))
 
 
 class TestSelect:
+    @pytest.mark.parametrize("cls", [SelectSurrogate, StackSurrogate])
+    def test_one_configuration(self, positive_data, cls):
+        """Candidates and folds are fixed: the constructor takes a builder
+        and a seed, and the removed knobs are a TypeError."""
+        rng = np.random.default_rng(0)
+        build = lambda name: make_surrogate(name, rng=rng)  # noqa: E731
+        model = cls(build, seed=rng).fit(*positive_data)
+        assert tuple(model.cv_errors) == ("forest", "gp")
+        for knob in ("candidates", "members", "k_folds"):
+            with pytest.raises(TypeError):
+                cls(build, **{knob: 3})
+        with pytest.raises(TypeError):
+            cls()
+
     def test_cv_errors_cover_candidates(self, positive_data):
         X, y = positive_data
         model = _fit("select", X, y, seed=0)
@@ -279,9 +294,10 @@ class TestStack:
         assert np.allclose(mu, (w * np.stack(mus)).sum(axis=0))
 
     def test_equal_weights_when_cv_infeasible(self):
-        X = np.array([[0.1, 0.2], [0.8, 0.9], [0.4, 0.5]])
-        y = np.array([1.0, 2.0, 1.5])
-        model = StackSurrogate(k_folds=2, seed=np.random.default_rng(0)).fit(X, y)
+        X = np.array([[0.1, 0.2], [0.8, 0.9]])
+        y = np.array([1.0, 2.0])
+        model = _fit("stack", X, y, seed=0)
+        assert model.cv_errors == {}
         assert np.allclose(model.weights, [0.5, 0.5])
 
 
