@@ -390,7 +390,9 @@ class RandomForestRegressor(Surrogate):
     @classmethod
     def deserialize(cls, payload: dict[str, np.ndarray]) -> "RandomForestRegressor":
         """Rebuild a forest from a format-2 payload; ``ValueError`` for any
-        other version or for node arrays :class:`PackedForest` refuses."""
+        other version, for node arrays :class:`PackedForest` refuses, or for
+        a non-finite threshold, value, variance or impurity (no fit writes
+        one; a leaf's threshold is 0)."""
         version = int(payload["format_version"])
         uncertainty = str(payload["uncertainty"])
         if version != _FORMAT_VERSION:
@@ -403,6 +405,9 @@ class RandomForestRegressor(Surrogate):
             offsets=np.asarray(payload["offsets"]),
             n_features=int(payload["n_features"]),
         )
+        for name in ("threshold", "value", "variance", "impurity"):
+            if not np.isfinite(getattr(packed, name)).all():
+                raise ValueError(f"packed_{name} holds a non-finite value")
         model = cls(n_estimators=packed.n_trees, uncertainty=uncertainty)
         model._packed = packed
         model.n_features_ = packed.n_features

@@ -9,12 +9,15 @@ heuristic start and one random perturbation of it.
 The class is a :class:`~repro.surrogate.Surrogate` (``kind`` ``"gp"``),
 like :class:`repro.forest.RandomForestRegressor`, so either model can
 drive Algorithm 1 and be saved with :func:`repro.surrogate.save_surrogate`.
+
+scipy is imported by the three methods that call it, so importing the
+package, or loading a GP envelope, loads no scipy; a process pays for it
+at its first GP fit or prediction.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg, optimize
 
 from repro.gp.kernels import squared_distances
 from repro.rng import as_generator
@@ -96,6 +99,8 @@ class GaussianProcessRegressor(Surrogate):
         theta: np.ndarray, sq: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray]:
         """Negative log marginal likelihood and its gradient in θ=log(ℓ,σf,σn)."""
+        from scipy import linalg
+
         log_ell, log_sf, log_sn = theta
         ell2 = np.exp(2.0 * log_ell)
         sf2 = np.exp(2.0 * log_sf)
@@ -131,6 +136,8 @@ class GaussianProcessRegressor(Surrogate):
     # -- fitting --------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcessRegressor":
         """Fit hyper-parameters and precompute the predictive solve."""
+        from scipy import linalg, optimize
+
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64)
         if len(X) != len(y):
@@ -194,6 +201,8 @@ class GaussianProcessRegressor(Surrogate):
 
     def predict_with_uncertainty(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and std (original units), like the forest's API."""
+        from scipy import linalg
+
         if not self._fitted:
             raise RuntimeError("GP is not fitted; call fit() first")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

@@ -38,17 +38,31 @@ class BitmapIndex(NamedTuple):
     bits: np.ndarray
 
 
+def _levels(col: np.ndarray) -> np.ndarray:
+    """The sorted distinct non-NaN values of ``col``, byte for byte what
+    ``np.unique`` returns: the same in-place sort and adjacent compare, so
+    the same one of ``-0.0`` and ``0.0`` survives.  ``np.unique`` itself
+    imports ``numpy.ma`` on its first call, which a forked pool worker
+    would pay in its first trial."""
+    aux = col[~np.isnan(col)]
+    aux.sort()
+    keep = np.empty(aux.shape, dtype=bool)
+    keep[:1] = True
+    keep[1:] = aux[1:] != aux[:-1]
+    return aux[keep]
+
+
 def _bitmap_index(X: np.ndarray) -> "BitmapIndex | None":
     """Index ``X`` one feature at a time; ``None`` once the bitsets would
     take more bytes than ``X`` itself (a continuous feature gets there on
-    its own, after one ``np.unique``)."""
+    its own, after one sort)."""
     n, d = X.shape
     n_words = -(-n // 64)
     budget = X.nbytes // (8 * n_words)  # bitsets X's own bytes pay for
     uniques = []
     starts = np.zeros(d + 1, dtype=np.intp)
     for f, col in enumerate(X.T):
-        uniques.append(np.unique(col[~np.isnan(col)]))
+        uniques.append(_levels(col))
         starts[f + 1] = starts[f] + len(uniques[f])
         if starts[f + 1] > budget:
             return None
@@ -142,7 +156,8 @@ class DataPool:
             return self._X[:0]
         if idx.min() < 0 or idx.max() >= self.n_total:
             raise IndexError(f"pool index out of range [0, {self.n_total})")
-        if len(np.unique(idx)) != len(idx):
+        ordered = np.sort(idx)  # not np.unique: see _levels
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("duplicate indices in a single take()")
         if not self._available[idx].all():
             taken = idx[~self._available[idx]]

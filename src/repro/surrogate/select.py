@@ -59,9 +59,10 @@ def cv_rmse(
 ) -> "dict[str, float] | None":
     """Per-candidate k-fold cross-validated RMSE on ``(X, y)``.
 
-    ``builder(name)`` constructs a fresh unfitted candidate.  Returns
-    ``None`` when the training set is too small to cross-validate; a
-    candidate that raises during fit/predict scores ``inf`` (recorded on
+    ``builder(name)`` constructs a fresh unfitted candidate; what it
+    raises propagates (a loaded ``select`` or ``stack`` refuses to refit).
+    Returns ``None`` when the training set is too small to cross-validate;
+    a candidate that raises during fit/predict scores ``inf`` (recorded on
     the ``surrogate.cv_failures`` counter) so one brittle family cannot
     abort the run.
     """
@@ -77,9 +78,9 @@ def cv_rmse(
             sq_sum, n_val = 0.0, 0
             for val_idx in folds:
                 train_idx = np.setdiff1d(all_idx, val_idx)
+                model = builder(name)
                 try:
-                    model = builder(name).fit(X[train_idx], y[train_idx])
-                    pred = model.predict(X[val_idx])
+                    pred = model.fit(X[train_idx], y[train_idx]).predict(X[val_idx])
                 except Exception:  # noqa: BLE001 - scored, not raised
                     # A brittle candidate (GP Cholesky failure, degenerate
                     # fold) must not abort the run: score it unusable.

@@ -475,7 +475,10 @@ class TestPoolBitmapRouting:
         assert bitmap_calls(4 * 2)
 
     def test_loaded_forest_with_non_finite_thresholds(self, bitmap_calls):
-        """Thresholds at NaN, +-inf, +-0.0 and exactly on a pool level."""
+        """Thresholds at NaN, +-inf, +-0.0 and exactly on a pool level.
+        A load refuses the non-finite ones, so the forest is built from its
+        node arrays the way the load builds it; every traversal must still
+        route it the same way."""
         r = np.random.default_rng(11)
         pool = DataPool(_discrete_pool(r, 1500, 5, specials=True))
         X = _training_rows(r, pool.X, 150)
@@ -492,7 +495,14 @@ class TestPoolBitmapRouting:
                     [np.nan, np.inf, -np.inf, 0.0, -0.0, r.choice(col)]
                 )
         payload["packed_threshold"] = threshold
-        model = RandomForestRegressor.deserialize(payload)
+        with pytest.raises(ValueError, match="packed_threshold holds a non-finite"):
+            RandomForestRegressor.deserialize(payload)
+        model = RandomForestRegressor(n_estimators=9)
+        model._packed = PackedForest(
+            *(payload[f"packed_{name}"] for name in FIELDS),
+            offsets=payload["offsets"], n_features=fitted.n_features_,
+        )
+        model.n_features_ = fitted.n_features_
         self._assert_scores_match(model, pool, np.arange(1500))
         self._assert_leaves_match(model.packed(), pool, np.arange(9))
         assert bitmap_calls(3)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.space import DataPool
@@ -140,3 +140,44 @@ def test_property_take_conserves_rows(picks):
     remaining = set(pool.available_indices().tolist())
     assert remaining.isdisjoint(picks)
     assert remaining | set(picks) == set(range(20))
+
+
+#: Column entries for the index properties: both signed zeros, NaN, the
+#: infinities and three finite values, few enough that columns repeat.
+_ENTRIES = st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, -2.5, 1.0, 7.25])
+
+
+@given(
+    columns=st.integers(1, 64).flatmap(
+        lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n),
+                           min_size=1, max_size=3)
+    )
+)
+@example(columns=[[-0.0]])
+@example(columns=[[np.nan, np.nan]])
+@example(columns=[[0.0, -0.0, 0.0], [-0.0, 0.0, np.nan]])
+@settings(max_examples=200, deadline=None)
+def test_property_levels_are_np_unique_bytes(columns):
+    """Each feature's levels are ``np.unique`` of its non-NaN values, byte
+    for byte: the same zero of ``-0.0`` and ``0.0`` survives, and an
+    all-NaN feature has none."""
+    X = np.array(columns).T
+    index = DataPool(X).bitmap_index()
+    for f, col in enumerate(X.T):
+        levels = index.levels[index.starts[f]:index.starts[f + 1]]
+        assert levels.tobytes() == np.unique(col[~np.isnan(col)]).tobytes()
+
+
+@given(picks=st.lists(st.integers(0, 19), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_property_take_refuses_exactly_the_duplicates(picks):
+    """``take`` raises on duplicates exactly when ``np.unique`` would
+    shorten the index; empty and one-element takes go through."""
+    pool = DataPool(np.arange(40, dtype=float).reshape(20, 2))
+    if len(np.unique(picks)) < len(picks):
+        with pytest.raises(ValueError, match="duplicate"):
+            pool.take(picks)
+        assert pool.n_available == 20
+    else:
+        assert np.array_equal(pool.take(picks), pool.X[picks])
+        assert pool.n_available == 20 - len(picks)

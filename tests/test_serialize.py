@@ -68,6 +68,23 @@ class TestErrors:
             with pytest.raises(EnvelopeError, match=f"version {version}"):
                 load_surrogate(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["threshold", "value", "variance", "impurity"])
+    def test_non_finite_node_value_rejected(self, fitted, tmp_path, name, value):
+        """No fit writes a non-finite node value.  One at the root's
+        threshold would send every row the same way, one at a leaf's value
+        would predict NaN; the load refuses either."""
+        model, _ = fitted
+        path = str(tmp_path / "f.npz")
+        save_surrogate(model, path)
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        leaf = int(np.flatnonzero(payload["packed_feature"] == -1)[0])
+        payload[f"packed_{name}"][0 if name == "threshold" else leaf] = value
+        np.savez_compressed(path, **payload)
+        with pytest.raises(EnvelopeError, match=f"packed_{name} holds a non-finite"):
+            load_surrogate(path)
+
     def test_loaded_forest_cannot_update(self, fitted, tmp_path, regression_data):
         model, _ = fitted
         X, y = regression_data
@@ -319,8 +336,8 @@ def _mutated_archives(draw, kind: str = "forest") -> bytes:
 class TestEnvelopeBytesProperty:
     """Malformed forest envelopes and distilled archives, whether the bytes
     or the arrays inside are damaged, load as EnvelopeError or as a model
-    that predicts — never as another exception or a crash, in either
-    kernel mode."""
+    that predicts (finite values, when the arrays are changed) — never as
+    another exception or a crash, in either kernel mode."""
 
     @given(
         source=st.sampled_from(sorted(_DAMAGEABLE)),
@@ -352,7 +369,7 @@ class TestEnvelopeBytesProperty:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_mutated_arrays(self, kernel_mode, blob):
-        _load_or_predict(blob)
+        _load_or_predict(blob, finite=True)
 
     @pytest.mark.parametrize("kind", ["gp", "select", "stack"])
     @given(data=st.data())

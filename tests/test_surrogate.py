@@ -29,6 +29,7 @@ from repro.surrogate import (
 )
 from repro.surrogate import registry as registry_mod
 from repro.surrogate.select import K_FOLDS, fold_slices
+from repro.telemetry import counters
 from repro.workloads import get_benchmark
 from repro.workloads.surrogate import load_distilled, zoo_dir
 
@@ -324,6 +325,19 @@ class TestSerialization:
         assert loaded.cv_errors == model.cv_errors
         with pytest.raises(RuntimeError, match="cannot refit"):
             loaded.fit(X, y)
+
+    @pytest.mark.parametrize("name", ["select", "stack"])
+    def test_loaded_meta_surrogate_refuses_refit_before_scoring(
+        self, positive_data, name
+    ):
+        """The refusal comes before cross-validation: no candidate is
+        scored as a failed fit."""
+        X, y = positive_data
+        loaded = self._roundtrip(_fit(name, X, y, seed=3))
+        before = counters.value("surrogate.cv_failures")
+        with pytest.raises(RuntimeError, match="cannot refit"):
+            loaded.fit(X, y)
+        assert counters.value("surrogate.cv_failures") == before
 
     def test_unstamped_forest_file_is_refused(self, positive_data, tmp_path):
         X, y = positive_data
