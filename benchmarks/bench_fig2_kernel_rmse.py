@@ -11,9 +11,10 @@ accuracy ranking everywhere.
 
 import numpy as np
 import pytest
-from conftest import cached_comparison, env_seed, once, write_panel
+from conftest import env_seed, once, write_panel
 
 from repro.experiments.figures import _comparison_panels
+from repro.experiments.runner import comparison_traces
 from repro.kernels import SPAPT_KERNEL_NAMES
 from repro.sampling import STRATEGY_NAMES
 
@@ -24,7 +25,7 @@ ALPHA = 0.01
 def test_fig2_kernel(benchmark, scale, output_dir, kernel):
     traces = once(
         benchmark,
-        lambda: cached_comparison(
+        lambda: comparison_traces(
             kernel, STRATEGY_NAMES, scale, seed=env_seed(), alpha=ALPHA
         ),
     )

@@ -1,6 +1,6 @@
 """Fig. 3: cumulative labeling cost (CC) vs #samples, 12 kernels.
 
-Shares the Fig. 2 runs via the session cache — the paper draws both
+Shares the Fig. 2 runs through the result store — the paper draws both
 figures from the same experiments.
 
 Paper shape being checked: BestPerf and BRS accumulate the *least* cost
@@ -10,9 +10,10 @@ most (it chases uncertain, often slow, configurations); PWU sits between.
 
 import numpy as np
 import pytest
-from conftest import cached_comparison, env_seed, once, write_panel
+from conftest import env_seed, once, write_panel
 
 from repro.experiments.figures import _comparison_panels
+from repro.experiments.runner import comparison_traces
 from repro.kernels import SPAPT_KERNEL_NAMES
 from repro.sampling import STRATEGY_NAMES
 
@@ -23,7 +24,7 @@ ALPHA = 0.01
 def test_fig3_kernel(benchmark, scale, output_dir, kernel):
     traces = once(
         benchmark,
-        lambda: cached_comparison(
+        lambda: comparison_traces(
             kernel, STRATEGY_NAMES, scale, seed=env_seed(), alpha=ALPHA
         ),
     )
@@ -45,7 +46,7 @@ def test_fig3_cost_ordering_summary(scale, output_dir):
     cheaper_than_maxu = 0
     rows = []
     for kernel in ("atax", "mm", "gesummv"):
-        traces = cached_comparison(
+        traces = comparison_traces(
             kernel, STRATEGY_NAMES, scale, seed=env_seed(), alpha=ALPHA
         )
         final = {s: t.cc_mean[-1] for s, t in traces.items()}

@@ -6,9 +6,10 @@ categorical — the regime the paper argues random forests handle well.
 
 import numpy as np
 import pytest
-from conftest import cached_comparison, env_seed, once, write_panel
+from conftest import env_seed, once, write_panel
 
 from repro.experiments.figures import _comparison_panels
+from repro.experiments.runner import comparison_traces
 from repro.sampling import STRATEGY_NAMES
 
 ALPHA = 0.01
@@ -19,7 +20,7 @@ APPS = ("kripke", "hypre")
 def test_fig4_app(benchmark, scale, output_dir, app):
     traces = once(
         benchmark,
-        lambda: cached_comparison(
+        lambda: comparison_traces(
             app, STRATEGY_NAMES, scale, seed=env_seed(), alpha=ALPHA
         ),
     )

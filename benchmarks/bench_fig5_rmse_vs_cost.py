@@ -7,9 +7,10 @@ measurement* remains competitive or better.
 
 import numpy as np
 import pytest
-from conftest import cached_comparison, env_seed, once, write_panel
+from conftest import env_seed, once, write_panel
 
 from repro.experiments.report import format_table, sparkline
+from repro.experiments.runner import comparison_traces
 from repro.metrics import cost_to_reach
 from repro.sampling import STRATEGY_NAMES
 
@@ -21,7 +22,7 @@ APPS = ("kripke", "hypre")
 def test_fig5_app(benchmark, scale, output_dir, app):
     traces = once(
         benchmark,
-        lambda: cached_comparison(
+        lambda: comparison_traces(
             app, STRATEGY_NAMES, scale, seed=env_seed(), alpha=ALPHA
         ),
     )

@@ -1,9 +1,9 @@
 """Shared infrastructure for the benchmark harness.
 
-Every paper table/figure has one ``bench_*`` file.  Heavy experiment runs
-are memoised per session (Fig. 2 and Fig. 3 plot the *same* runs; Fig. 7
-reuses them too), and every regenerated panel is written to
-``benchmarks/_output/`` so the evidence survives the pytest run.
+Every paper table/figure has one ``bench_*`` file.  Figures that plot the
+*same* runs (Fig. 2 and Fig. 3, Fig. 4 and Fig. 5, and Fig. 7 on both)
+share them through the result store, and every regenerated panel is
+written to ``benchmarks/_output/`` so the evidence survives the pytest run.
 
 Scale selection: set ``REPRO_SCALE`` to ``smoke`` (default here; minutes
 for the full suite), ``quick`` (tens of minutes) or ``paper`` (the full
@@ -13,29 +13,32 @@ Execution: every driver routes its trials through :mod:`repro.engine`, so
 ``REPRO_JOBS=8`` fans them over 8 worker processes (bit-identical results)
 and ``REPRO_CACHE_DIR=...`` persists completed trials — re-running the
 harness, or any figure CLI sharing the directory, skips finished work.
+Without it the session runs on a temporary store of its own.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
 import pytest
 
 from repro.engine import engine_from_env, use_engine
-from repro.experiments.aggregate import AveragedTrace
 from repro.experiments.config import ExperimentScale, scale_from_env
-from repro.experiments.runner import comparison_traces
 
 OUTPUT_DIR = Path(__file__).parent / "_output"
 
-_COMPARISON_CACHE: dict[tuple, dict[str, AveragedTrace]] = {}
-
 
 @pytest.fixture(scope="session", autouse=True)
-def engine_context():
-    """Install the env-configured engine (REPRO_JOBS / REPRO_CACHE_DIR)."""
-    with use_engine(engine_from_env()) as config:
+def engine_context(tmp_path_factory):
+    """Install the env-configured engine (REPRO_JOBS / REPRO_CACHE_DIR),
+    on a session-scoped temporary store when REPRO_CACHE_DIR is unset."""
+    config = engine_from_env()
+    if config.cache_dir is None:
+        store = tmp_path_factory.mktemp("result-store")
+        config = dataclasses.replace(config, cache_dir=str(store))
+    with use_engine(config):
         yield config
 
 
@@ -48,23 +51,6 @@ def scale() -> ExperimentScale:
 def output_dir() -> Path:
     OUTPUT_DIR.mkdir(exist_ok=True)
     return OUTPUT_DIR
-
-
-def cached_comparison(
-    benchmark_name: str,
-    strategies: tuple[str, ...],
-    scale: ExperimentScale,
-    seed: int = 0,
-    alpha: float = 0.01,
-) -> dict[str, AveragedTrace]:
-    """Memoised comparison_traces: figures that share runs share the cost."""
-    key = (benchmark_name, strategies, scale.name, seed, alpha)
-    if key not in _COMPARISON_CACHE:
-        # repro: allow[SPAWN001] single-process pytest session memo; benchmarks never run in pool workers
-        _COMPARISON_CACHE[key] = comparison_traces(
-            benchmark_name, strategies, scale, seed=seed, alpha=alpha
-        )
-    return _COMPARISON_CACHE[key]
 
 
 def write_panel(output_dir: Path, name: str, text: str) -> None:

@@ -20,7 +20,7 @@ from repro import (
     LearnerConfig,
     OrdinalParameter,
     ParameterSpace,
-    make_strategy,
+    get_strategy,
 )
 from repro.noise import MeasurementProtocol
 from repro.space import DataPool
@@ -80,7 +80,7 @@ def run(strategy_name: str, bench: Benchmark, seed: int) -> float:
         evaluate=lambda X: bench.measure_encoded(X, rng),
         X_test=X_test,
         y_test=y_test,
-        strategy=make_strategy(strategy_name, alpha=0.05),
+        strategy=get_strategy(strategy_name, alpha=0.05),
         config=LearnerConfig(n_init=10, n_max=80, eval_every=10, n_estimators=20),
         seed=rng,
     )

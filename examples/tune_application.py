@@ -16,7 +16,7 @@ Run:  python examples/tune_application.py
 
 import numpy as np
 
-from repro import get_benchmark, make_strategy
+from repro import get_benchmark
 from repro.experiments import SCALES, prepare_data
 from repro.experiments.runner import run_single
 from repro.forest import RandomForestRegressor

@@ -58,7 +58,6 @@ from repro.sampling import (
     PWUSampling,
     available_strategies,
     get_strategy,
-    make_strategy,
     pwu_scores,
     register_strategy,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "register_strategy",
     "get_strategy",
     "available_strategies",
-    "make_strategy",
     "PWUSampling",
     "pwu_scores",
     # loop

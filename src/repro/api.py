@@ -1,8 +1,8 @@
 """The front door: typed one-call experiment execution.
 
-:func:`run` executes one (workload, strategy) study — repeated trials
-through the parallel engine, averaged — and :func:`compare` runs several
-strategies against the same pool/test split.  Both return frozen result
+:func:`compare` runs several strategies against the same pool/test
+split — repeated trials through the parallel engine, averaged — and
+:func:`run` is :func:`compare` of one strategy.  Both return frozen result
 objects carrying the averaged trace(s), headline metrics, and (when
 ``trace=True``) the path of the JSONL telemetry trace written for the
 run.  They are thin wrappers over :mod:`repro.experiments.runner`; every
@@ -30,7 +30,6 @@ from repro.experiments.config import SCALES, ExperimentScale
 from repro.experiments.runner import (
     DEFAULT_ALPHAS,
     comparison_traces,
-    strategy_trace,
     surrogate_overrides,
 )
 from repro.sampling import get_strategy
@@ -211,35 +210,19 @@ def run(
         :class:`repro.engine.EngineJobError` after the batch completes,
         with finished trials preserved in the store.
     """
-    get_strategy(strategy, alpha=alpha)  # fail fast on unknown names
-    overrides = surrogate_overrides(surrogate)
-    resolved = _resolve_scale(scale)
-    if budget is not None:
-        resolved = dataclasses.replace(resolved, n_max=int(budget))
-    if trials is not None:
-        resolved = dataclasses.replace(resolved, n_trials=int(trials))
-    engine = _engine_config(jobs, cache_dir, max_retries, job_timeout)
-
-    def execute() -> AveragedTrace:
-        return strategy_trace(
-            workload,
-            strategy,
-            resolved,
-            seed=seed,
-            alpha=alpha,
-            alphas=alphas,
-            config_overrides=overrides,
-            engine=engine,
-        )
-
-    history, trace_path = _traced(execute, trace, trace_summary)
+    result = compare(
+        workload, (strategy,), seed=seed, budget=budget, jobs=jobs,
+        trace=trace, scale=scale, trials=trials, alpha=alpha, alphas=alphas,
+        cache_dir=cache_dir, trace_summary=trace_summary,
+        max_retries=max_retries, job_timeout=job_timeout, surrogate=surrogate,
+    )
     return RunResult(
         workload=workload,
         strategy=strategy,
         seed=seed,
-        history=history,
-        metrics=_trace_metrics(history),
-        trace_path=trace_path,
+        history=result.traces[strategy],
+        metrics=result.metrics[strategy],
+        trace_path=result.trace_path,
     )
 
 

@@ -37,6 +37,7 @@ deterministic chaos faults for testing (see :mod:`repro.engine.faults`).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -288,7 +289,8 @@ def _emit(result, out_dir: "str | None") -> None:
 
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "lint":
         from repro.analysis.cli import run_from_args
@@ -319,21 +321,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
 
     if args.command == "serve":
-        import dataclasses as _dc
+        from repro import api
 
-        from repro.service import serve, service_from_env
-
-        base = service_from_env()
-        return serve(
-            _dc.replace(
-                base,
-                host=args.host if args.host is not None else base.host,
-                port=args.port if args.port is not None else base.port,
-                data_dir=(
-                    args.data_dir if args.data_dir is not None else base.data_dir
-                ),
-            )
-        )
+        return api.serve(args.host, args.port, args.data_dir)
 
     # Deferred imports keep `repro list --help` fast.
     from repro.experiments import figures
@@ -393,124 +383,88 @@ def main(argv: "list[str] | None" = None) -> int:
             args.job_timeout if args.job_timeout is not None else base.job_timeout
         ),
     )
-    with use_engine(engine):
+    with contextlib.ExitStack() as stack:
+        if args.command == "all" and not engine.cache_dir:
+            # Fig. 7 reads Fig. 2's and Fig. 4's trials back from the store,
+            # so without one `all` runs on a store that lives as long as it.
+            import tempfile
+
+            store = tempfile.TemporaryDirectory(prefix="repro-all-")
+            engine = dataclasses.replace(
+                engine, cache_dir=stack.enter_context(store)
+            )
+        stack.enter_context(use_engine(engine))
         if args.trace is not None:
             from repro.api import _traced
 
             code, path = _traced(
-                lambda: _dispatch(args, figures), args.trace, summary=True
+                lambda: _dispatch(args, parser, figures), args.trace, summary=True
             )
             print(f"[trace written {path}]", file=sys.stderr)
             return code
-        return _dispatch(args, figures)
+        return _dispatch(args, parser, figures)
 
 
-def _dispatch(args, figures) -> int:
-    """Run one figure subcommand under the installed engine context."""
-    scale = SCALES[args.scale]
-    out = args.out_dir
-    surrogate = getattr(args, "surrogate", "forest")
+#: The figure subcommands in paper order, each mapped to its driver in
+#: :mod:`repro.experiments.figures` and to the driver's keyword arguments
+#: taken from the subcommand's own flags; every driver also receives the
+#: scale, ``--seed`` and ``--surrogate``.  ``all`` runs them in this order.
+FIGURES = {
+    "fig2": ("fig2_fig3", lambda a: dict(kernels=tuple(a.kernels), alpha=a.alpha)),
+    "fig4": ("fig4_fig5", lambda a: dict(alpha=a.alpha)),
+    "fig6": ("fig6", lambda a: dict(benchmark=a.benchmark)),
+    "fig7": (
+        "fig7",
+        lambda a: dict(
+            benchmarks=tuple(a.benchmarks) if a.benchmarks else None, alpha=a.alpha
+        ),
+    ),
+    "fig8": ("fig8", lambda a: dict(benchmark_name=a.benchmark)),
+    "fig9": ("fig9", lambda a: dict(benchmark_name=a.benchmark)),
+}
 
+
+def _dispatch(args, parser, figures) -> int:
+    """Run one engine subcommand under the installed engine context."""
     if args.command == "run":
-        return _run_command(args, scale, out, surrogate)
-
-    if args.command == "fig2":
-        f2, f3 = figures.fig2_fig3(
-            scale, kernels=tuple(args.kernels), alpha=args.alpha, seed=args.seed,
-            surrogate=surrogate,
-        )
-        _emit(f2, out)
-        _emit(f3, out)
+        return _run_command(args)
+    if args.command != "all":
+        _figure(args, figures)
         return 0
-
-    if args.command == "fig4":
-        f4, f5 = figures.fig4_fig5(
-            scale, alpha=args.alpha, seed=args.seed, surrogate=surrogate
-        )
-        _emit(f4, out)
-        _emit(f5, out)
-        return 0
-
-    if args.command == "fig6":
-        _emit(
-            figures.fig6(
-                scale, benchmark=args.benchmark, seed=args.seed, surrogate=surrogate
-            ),
-            out,
-        )
-        return 0
-
-    if args.command == "fig7":
-        benches = tuple(args.benchmarks) if args.benchmarks else None
-        _emit(
-            figures.fig7(
-                scale, benchmarks=benches, alpha=args.alpha, seed=args.seed,
-                surrogate=surrogate,
-            ),
-            out,
-        )
-        return 0
-
-    if args.command == "fig8":
-        _emit(
-            figures.fig8(
-                scale, benchmark_name=args.benchmark, seed=args.seed,
-                surrogate=surrogate,
-            ),
-            out,
-        )
-        return 0
-
-    if args.command == "fig9":
-        _emit(
-            figures.fig9(
-                scale, benchmark_name=args.benchmark, seed=args.seed,
-                surrogate=surrogate,
-            ),
-            out,
-        )
-        return 0
-
-    if args.command == "all":
-        print(figures.tables_1_to_4().render())
-        f2, f3 = figures.fig2_fig3(scale, seed=args.seed, surrogate=surrogate)
-        _emit(f2, out)
-        _emit(f3, out)
-        f4, f5 = figures.fig4_fig5(scale, seed=args.seed, surrogate=surrogate)
-        _emit(f4, out)
-        _emit(f5, out)
-        _emit(figures.fig6(scale, seed=args.seed, surrogate=surrogate), out)
-        pre = {k: {s: _trace_from_dict(d) for s, d in v.items()} for k, v in {**f2.data, **f4.data}.items()}
-        _emit(
-            figures.fig7(scale, seed=args.seed, precomputed=pre, surrogate=surrogate),
-            out,
-        )
-        _emit(figures.fig8(scale, seed=args.seed, surrogate=surrogate), out)
-        _emit(figures.fig9(scale, seed=args.seed, surrogate=surrogate), out)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    print(figures.tables_1_to_4().render())
+    for name in FIGURES:
+        # The figure's own flags at their defaults, `all`'s common flags.
+        flags = {**vars(parser.parse_args([name])), **vars(args), "command": name}
+        _figure(argparse.Namespace(**flags), figures)
+    return 0
 
 
-def _run_command(args, scale, out: "str | None", surrogate: str) -> int:
+def _figure(args, figures) -> None:
+    """Run one figure subcommand's driver and emit every figure it returns."""
+    driver, flags = FIGURES[args.command]
+    results = getattr(figures, driver)(
+        SCALES[args.scale], seed=args.seed, surrogate=args.surrogate, **flags(args)
+    )
+    for result in results if isinstance(results, tuple) else (results,):
+        _emit(result, args.out_dir)
+
+
+def _run_command(args) -> int:
     """``repro run``: one workload, one or more strategies, plain output."""
     from repro import api
 
     strategies = list(args.strategy)
-    common = dict(
+    metrics = api.compare(
+        args.workload,
+        tuple(strategies),
         seed=args.seed,
-        scale=scale,
+        scale=SCALES[args.scale],
         budget=args.budget,
         trials=args.trials,
         alpha=args.alpha,
-        surrogate=surrogate,
-    )
-    if len(strategies) == 1:
-        result = api.run(args.workload, strategies[0], **common)
-        metrics = {strategies[0]: result.metrics}
-    else:
-        result = api.compare(args.workload, tuple(strategies), **common)
-        metrics = result.metrics
+        surrogate=args.surrogate,
+    ).metrics
+    out = args.out_dir
     print(f"workload: {args.workload}  seed: {args.seed}")
     for name in strategies:
         m = metrics[name]
@@ -534,13 +488,6 @@ def _run_command(args, scale, out: "str | None", surrogate: str) -> int:
         )
         print(f"[written {path}]")
     return 0
-
-
-def _trace_from_dict(d: dict):
-    """Rehydrate an AveragedTrace from its to_dict() form (for `all`)."""
-    from repro.experiments.aggregate import AveragedTrace
-
-    return AveragedTrace.from_dict(d)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.experiments.config import ExperimentScale
-from repro.sampling import make_strategy
+from repro.sampling import get_strategy
 from repro.sampling.base import SamplingStrategy
 
 __all__ = [
@@ -52,7 +52,7 @@ def _strategy_spec(strategy: "str | SamplingStrategy") -> str:
     """Canonical string identity of a strategy (name or instance).
 
     Named strategies are keyed by name (their construction is owned by
-    :func:`repro.sampling.make_strategy` plus the job's ``alpha``).  Instances
+    :func:`repro.sampling.get_strategy` plus the job's ``alpha``).  Instances
     — used by the ablation drivers to sweep hyper-parameters — are keyed by
     class path plus their sorted public attributes, which is stable across
     processes (unlike ``id()``-based default reprs).
@@ -140,7 +140,7 @@ class TrialJob:
         leak state through a common strategy object.
         """
         if isinstance(self.strategy, str):
-            return make_strategy(self.strategy, alpha=self.alpha)
+            return get_strategy(self.strategy, alpha=self.alpha)
         return copy.deepcopy(self.strategy)
 
     def overrides_dict(self) -> "dict | None":

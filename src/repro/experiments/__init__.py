@@ -4,7 +4,7 @@ The pipeline: :mod:`repro.experiments.runner` executes repeated
 active-learning runs per (benchmark, strategy) and averages their traces;
 :mod:`repro.experiments.figures` arranges those traces into the paper's
 figures and tables; :mod:`repro.experiments.report` renders everything as
-text series and CSV for a plot-free environment.
+text series and JSON for a plot-free environment.
 """
 
 from repro.experiments.config import ExperimentScale, SCALES

@@ -41,19 +41,6 @@ class AveragedTrace:
             "rmse_std": {k: v.tolist() for k, v in self.rmse_std.items()},
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AveragedTrace":
-        """Inverse of :meth:`to_dict` (rehydrating persisted results)."""
-        return cls(
-            strategy=d["strategy"],
-            n_train=np.asarray(d["n_train"]),
-            cc_mean=np.asarray(d["cc_mean"], dtype=np.float64),
-            cc_std=np.asarray(d["cc_std"], dtype=np.float64),
-            rmse_mean={k: np.asarray(v, dtype=np.float64) for k, v in d["rmse_mean"].items()},
-            rmse_std={k: np.asarray(v, dtype=np.float64) for k, v in d["rmse_std"].items()},
-            n_trials=int(d["n_trials"]),
-        )
-
 
 def average_histories(
     strategy: str, histories: "list[LearningHistory]"

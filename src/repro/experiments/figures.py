@@ -248,13 +248,13 @@ def fig7(
     benchmarks: "tuple[str, ...] | None" = None,
     alpha: float = 0.01,
     seed: int = 0,
-    precomputed: "dict[str, dict[str, AveragedTrace]] | None" = None,
     surrogate: str = "forest",
 ) -> FigureResult:
     """Speedup of cumulative cost to reach a common low error level.
 
     The paper reports up to 21x, ~3x on average across the 14 benchmarks.
-    Pass ``precomputed`` traces (from fig2/fig4 runs) to avoid re-running.
+    Its PBUS and PWU trials at ``alpha`` are the same jobs as Fig. 2's and
+    Fig. 4's, so under a result store they are read back, not re-run.
     """
     overrides = surrogate_overrides(surrogate)
     if benchmarks is None:
@@ -268,13 +268,10 @@ def fig7(
     rows = []
     speedups = {}
     for bench in benchmarks:
-        if precomputed is not None and bench in precomputed:
-            traces = precomputed[bench]
-        else:
-            traces = comparison_traces(
-                bench, ("pbus", "pwu"), scale, seed=seed, alpha=alpha,
-                config_overrides=overrides,
-            )
+        traces = comparison_traces(
+            bench, ("pbus", "pwu"), scale, seed=seed, alpha=alpha,
+            config_overrides=overrides,
+        )
         sp, level = speedup_at_level(
             traces["pbus"].cc_mean,
             traces["pbus"].rmse_mean[alpha_key],

@@ -3,13 +3,11 @@
 matplotlib is not available in this environment, so every figure is
 regenerated as the *series it plots*: aligned numeric columns plus a coarse
 ASCII trend line, exactly enough to read off "who wins, by how much, where
-the crossovers fall".  CSV/JSON dumps are provided for external plotting.
+the crossovers fall".  JSON dumps are provided for external plotting.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Mapping, Sequence
 
@@ -19,7 +17,6 @@ __all__ = [
     "format_table",
     "series_table",
     "sparkline",
-    "traces_to_csv",
     "dump_json",
 ]
 
@@ -103,20 +100,6 @@ def series_table(
         )
     rows.append(["trend"] + [sparkline(series[s]) for s in series])
     return format_table(headers, rows, title=title)
-
-
-def traces_to_csv(
-    x: np.ndarray, series: Mapping[str, np.ndarray], x_label: str
-) -> str:
-    """Full-resolution CSV of one figure panel."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([x_label] + list(series))
-    for i in range(len(x)):
-        writer.writerow(
-            [float(x[i])] + [float(series[s][i]) for s in series]
-        )
-    return buf.getvalue()
 
 
 def dump_json(obj: dict, path: str) -> None:

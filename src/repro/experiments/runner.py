@@ -171,6 +171,47 @@ def run_single(
     return learner.run()
 
 
+def _averaged_traces(
+    benchmark_name: str,
+    strategies: "dict[str, str | object]",
+    scale: ExperimentScale,
+    seed: int,
+    alpha: float,
+    alphas: tuple[float, ...],
+    config_overrides: "dict | None",
+    engine: "object | None",
+) -> dict[str, AveragedTrace]:
+    """Run every label's trials in one engine batch; average per label.
+
+    The learner configuration is built here first, so a setting no trial
+    could build (``n_max`` below ``n_init``, an unknown override field,
+    an empty α grid) raises before any job runs instead of failing every
+    trial through the engine's retries.
+    """
+    from repro.engine import run_jobs, trial_jobs
+
+    _learner_config(scale, alphas, config_overrides)
+    per_label = {
+        label: trial_jobs(
+            benchmark_name,
+            strategy,
+            scale,
+            seed=seed,
+            alpha=alpha,
+            alphas=alphas,
+            config_overrides=config_overrides,
+        )
+        for label, strategy in strategies.items()
+    }
+    results, _ = run_jobs(
+        [job for jobs in per_label.values() for job in jobs], config=engine
+    )
+    return {
+        label: average_histories(label, _histories(jobs, results))
+        for label, jobs in per_label.items()
+    }
+
+
 def strategy_trace(
     benchmark_name: str,
     strategy_name: "str | object",
@@ -191,21 +232,12 @@ def strategy_trace(
     result store.  ``engine`` overrides the ambient
     :func:`~repro.engine.context.current_engine` configuration.
     """
-    from repro.engine import run_jobs, trial_jobs
-
     if label is None:
         label = strategy_name if isinstance(strategy_name, str) else strategy_name.name
-    jobs = trial_jobs(
-        benchmark_name,
-        strategy_name,
-        scale,
-        seed=seed,
-        alpha=alpha,
-        alphas=alphas,
-        config_overrides=config_overrides,
-    )
-    results, _ = run_jobs(jobs, config=engine)
-    return average_histories(label, _histories(jobs, results))
+    return _averaged_traces(
+        benchmark_name, {label: strategy_name}, scale, seed, alpha, alphas,
+        config_overrides, engine,
+    )[label]
 
 
 def comparison_traces(
@@ -229,23 +261,7 @@ def comparison_traces(
     strategy (e.g. ``{"surrogate": "gp"}`` to compare strategies under a
     different surrogate family).
     """
-    from repro.engine import run_jobs, trial_jobs
-
-    per_strategy = {
-        s: trial_jobs(
-            benchmark_name,
-            s,
-            scale,
-            seed=seed,
-            alpha=alpha,
-            alphas=alphas,
-            config_overrides=config_overrides,
-        )
-        for s in strategy_names
-    }
-    all_jobs = [job for jobs in per_strategy.values() for job in jobs]
-    results, _ = run_jobs(all_jobs, config=engine)
-    return {
-        s: average_histories(s, _histories(jobs, results))
-        for s, jobs in per_strategy.items()
-    }
+    return _averaged_traces(
+        benchmark_name, {s: s for s in strategy_names}, scale, seed, alpha,
+        alphas, config_overrides, engine,
+    )

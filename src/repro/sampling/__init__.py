@@ -29,7 +29,6 @@ from repro.sampling.registry import (
     STRATEGY_NAMES,
     available_strategies,
     get_strategy,
-    make_strategy,
     register_strategy,
 )
 
@@ -47,5 +46,4 @@ __all__ = [
     "register_strategy",
     "get_strategy",
     "available_strategies",
-    "make_strategy",
 ]

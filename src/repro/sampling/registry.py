@@ -29,7 +29,6 @@ __all__ = [
     "register_strategy",
     "get_strategy",
     "available_strategies",
-    "make_strategy",
 ]
 
 #: All strategies compared in the paper's figures, in plotting order.
@@ -68,11 +67,6 @@ def get_strategy(name: str, alpha: float = 0.05) -> SamplingStrategy:
     raise :class:`KeyError` with a closest-match suggestion.
     """
     return _REGISTRY.get(name)(alpha)
-
-
-def make_strategy(name: str, alpha: float = 0.05) -> SamplingStrategy:
-    """Alias of :func:`get_strategy` (the historical constructor name)."""
-    return get_strategy(name, alpha=alpha)
 
 
 def _cv(alpha: float) -> SamplingStrategy:

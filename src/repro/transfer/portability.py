@@ -10,7 +10,7 @@ from scipy import stats
 from repro.active import ActiveLearner, LearnerConfig, LearningHistory
 from repro.forest import RandomForestRegressor
 from repro.rng import as_generator, derive
-from repro.sampling import make_strategy
+from repro.sampling import get_strategy
 from repro.space import DataPool
 from repro.workloads import Benchmark
 
@@ -128,7 +128,7 @@ def run_transfer_experiment(
             evaluate=lambda X: target.measure_encoded(X, rng),
             X_test=X_test,
             y_test=y_test,
-            strategy=make_strategy("pwu", alpha=0.05),
+            strategy=get_strategy("pwu", alpha=0.05),
             config=config,
             seed=rng,
             cold_start_indices=cold_start,

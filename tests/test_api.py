@@ -12,7 +12,6 @@ from repro.experiments.runner import comparison_traces, strategy_trace
 from repro.sampling import (
     available_strategies,
     get_strategy,
-    make_strategy,
     register_strategy,
 )
 from repro.sampling import registry as registry_mod
@@ -64,9 +63,6 @@ class TestRegistry:
             assert isinstance(get_strategy("probe"), _Probe)
         finally:
             del registry_mod._REGISTRY["probe"]
-
-    def test_make_strategy_is_registry_alias(self):
-        assert type(make_strategy("pwu")) is type(get_strategy("pwu"))
 
     def test_alpha_reaches_pwu(self):
         assert get_strategy("pwu", alpha=0.01).alpha == 0.01
@@ -129,6 +125,48 @@ class TestRun:
         )
         assert _traces_equal(untraced.history, traced.history)
 
+    def test_run_is_compare_of_one_strategy(self, tiny_scale, tmp_path):
+        run = repro.api.run(
+            "mvt", "pwu", seed=4, scale=tiny_scale,
+            trace=str(tmp_path / "run.jsonl"), trace_summary=False,
+        )
+        both = repro.api.compare(
+            "mvt", ("pwu",), seed=4, scale=tiny_scale,
+            trace=str(tmp_path / "compare.jsonl"), trace_summary=False,
+        )
+        assert _traces_equal(run.history, both.traces["pwu"])
+        assert run.history.n_trials == both.traces["pwu"].n_trials
+        assert run.metrics == both.metrics["pwu"]
+        run_ids = [
+            telemetry.read_trace(path)["header"]["run_id"]
+            for path in (run.trace_path, both.trace_path)
+        ]
+        assert run_ids[0] == run_ids[1] != "untagged"
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda s: repro.api.run("mvt", "pwu", scale=s, budget=5),
+             ValueError, "n_max must be >= n_init"),
+            (lambda s: repro.api.compare("mvt", ("pwu",), scale=s, alphas=()),
+             ValueError, "at least one alpha"),
+            (lambda s: strategy_trace(
+                "mvt", "pwu", s, config_overrides={"no_such_field": 1}),
+             TypeError, "no_such_field"),
+        ],
+        ids=["budget-below-n-init", "empty-alphas", "unknown-override"],
+    )
+    def test_unbuildable_config_fails_before_any_job(
+        self, tiny_scale, call, error, match
+    ):
+        """A learner configuration no trial can build raises its own error
+        at the call, not an EngineJobError after every trial's retries."""
+        watched = ("engine.jobs.executed", "engine.jobs.retried")
+        before = [telemetry.value(name) for name in watched]
+        with pytest.raises(error, match=match):
+            call(tiny_scale)
+        assert [telemetry.value(name) for name in watched] == before
+
 
 class TestCompare:
     def test_compare_matches_canonical_runner(self, tiny_scale):
@@ -156,3 +194,9 @@ class TestShimRemoval:
         assert not hasattr(runner_mod, "run_comparison")
         assert not hasattr(repro.experiments, "run_strategy")
         assert not hasattr(repro.experiments, "run_comparison")
+        # The historical alias of get_strategy.
+        import repro.sampling
+
+        assert not hasattr(registry_mod, "make_strategy")
+        assert not hasattr(repro.sampling, "make_strategy")
+        assert not hasattr(repro, "make_strategy")

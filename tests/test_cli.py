@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
@@ -32,6 +33,16 @@ class TestParser:
     def test_progress_force_flag(self):
         args = build_parser().parse_args(["fig2", "--progress"])
         assert args.progress is True
+
+    def test_every_figure_subcommand_has_one_table_entry(self):
+        from repro.cli import FIGURES
+
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        figures = [name for name in sub.choices if name.startswith("fig")]
+        assert figures == list(FIGURES)
 
 
 class TestCommands:
@@ -130,6 +141,40 @@ class TestCommands:
         second_err = capsys.readouterr().err
         assert "executed 0" in second_err
         assert (tmp_path / "resumed" / "fig2.json").read_bytes() == serial
+
+    def test_all_is_tables_then_each_figure_on_a_temporary_store(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """`all` with no store writes, byte for byte, what `tables` and each
+        figure subcommand write; Fig. 7 reads Fig. 2's and Fig. 4's trials
+        from a temporary store, which is gone once main returns."""
+        import tempfile
+
+        self._patch_tiny_smoke(monkeypatch)
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_PROGRESS", raising=False)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        together, apart = tmp_path / "together", tmp_path / "apart"
+        common = ["--scale", "smoke", "--jobs", "1"]
+
+        assert main(["all", *common, "-o", str(together)]) == 0
+        printed = capsys.readouterr()
+        assert list(scratch.iterdir()) == []
+        # One "executed 0" batch per Fig. 7 benchmark: 12 kernels, 2 apps.
+        assert printed.err.count("executed 0") >= 14
+
+        assert main(["tables"]) == 0
+        for name in ("fig2", "fig4", "fig6", "fig7", "fig8", "fig9"):
+            assert main([name, *common, "-o", str(apart)]) == 0
+        assert printed.out.replace(str(together), "OUT") == (
+            capsys.readouterr().out.replace(str(apart), "OUT")
+        )
+        files = sorted(path.name for path in together.iterdir())
+        assert files == sorted(path.name for path in apart.iterdir())
+        for name in files:
+            assert (together / name).read_bytes() == (apart / name).read_bytes()
 
     def test_no_progress_silences_telemetry(self, capsys, tmp_path, monkeypatch):
         self._patch_tiny_smoke(monkeypatch)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.forest import RandomForestRegressor
-from repro.sampling import make_strategy
+from repro.sampling import get_strategy
 from repro.sampling.ei import ExpectedImprovementSampling, expected_improvement
 from repro.space import DataPool
 
@@ -57,7 +57,7 @@ class TestStrategy:
         assert np.allclose(np.sort(ei[picked])[::-1], np.sort(ei)[::-1][:5])
 
     def test_registry(self):
-        assert make_strategy("ei").name == "ei"
+        assert get_strategy("ei").name == "ei"
 
     def test_runs_in_algorithm_1(self, tiny_scale):
         from repro.experiments.runner import strategy_trace

@@ -167,18 +167,17 @@ class TestHistoryRoundTrip:
 
     def test_averaged_trace_roundtrips(self, two_trial_scale):
         """Store artifacts and dump_json share one schema end to end."""
-        from repro.experiments.aggregate import AveragedTrace
-
         trace = strategy_trace("mvt", "pwu", two_trial_scale, seed=0, engine=_quiet())
-        clone = AveragedTrace.from_dict(json.loads(json.dumps(trace.to_dict())))
-        assert clone.strategy == trace.strategy
-        assert clone.n_trials == trace.n_trials
-        assert np.array_equal(clone.n_train, trace.n_train)
-        assert np.array_equal(clone.cc_mean, trace.cc_mean)
-        assert np.array_equal(clone.cc_std, trace.cc_std)
+        clone = json.loads(json.dumps(trace.to_dict()))
+        assert clone == trace.to_dict()
+        assert clone["strategy"] == trace.strategy
+        assert clone["n_trials"] == trace.n_trials
+        assert np.array_equal(clone["n_train"], trace.n_train)
+        assert np.array_equal(clone["cc_mean"], trace.cc_mean)
+        assert np.array_equal(clone["cc_std"], trace.cc_std)
         for k in trace.rmse_mean:
-            assert np.array_equal(clone.rmse_mean[k], trace.rmse_mean[k])
-            assert np.array_equal(clone.rmse_std[k], trace.rmse_std[k])
+            assert np.array_equal(clone["rmse_mean"][k], trace.rmse_mean[k])
+            assert np.array_equal(clone["rmse_std"][k], trace.rmse_std[k])
 
 
 class TestResultStore:

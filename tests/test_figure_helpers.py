@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from repro.cli import _trace_from_dict
-from repro.experiments.aggregate import AveragedTrace
 from repro.experiments.figures import FigureResult, _occupancy_grid
 
 
@@ -34,20 +32,3 @@ class TestOccupancyGrid:
         text = _occupancy_grid(mu, sigma, np.zeros(50, dtype=bool), n_bins=4)
         assert not any(c.isdigit() for c in text.replace("high", "").replace("low", ""))
 
-
-class TestTraceRehydration:
-    def test_round_trip(self):
-        trace = AveragedTrace(
-            strategy="pwu",
-            n_train=np.array([10, 20]),
-            cc_mean=np.array([1.0, 2.0]),
-            cc_std=np.array([0.1, 0.2]),
-            rmse_mean={"0.05": np.array([0.5, 0.4])},
-            rmse_std={"0.05": np.array([0.05, 0.04])},
-            n_trials=3,
-        )
-        back = _trace_from_dict(trace.to_dict())
-        assert back.strategy == trace.strategy
-        assert np.array_equal(back.n_train, trace.n_train)
-        assert np.array_equal(back.rmse_mean["0.05"], trace.rmse_mean["0.05"])
-        assert back.n_trials == 3

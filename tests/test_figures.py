@@ -1,8 +1,9 @@
 """Integration tests for the figure drivers (tiny scale)."""
 
-import numpy as np
-import pytest
+import json
 
+from repro import telemetry
+from repro.engine import EngineConfig, use_engine
 from repro.experiments import figures
 from repro.experiments.config import ExperimentScale
 
@@ -65,13 +66,24 @@ class TestFig7:
         assert "mvt" in res.data["speedups"]
         assert "speedup" in res.panels["speedup of CC (PBUS / PWU)"]
 
-    def test_precomputed_traces_reused(self):
-        from repro.experiments.runner import comparison_traces
-
-        traces = comparison_traces("mvt", ("pbus", "pwu"), TINY, seed=0, alpha=0.01)
-        res = figures.fig7(TINY, benchmarks=("mvt",), precomputed={"mvt": traces})
-        sp = res.data["speedups"]["mvt"]
-        assert sp > 0 or np.isnan(sp)
+    def test_reads_fig2_trials_from_the_store(self, tmp_path):
+        """Fig. 7's PBUS and PWU jobs are Fig. 2's (the job key names no
+        batch), so under one store Fig. 7 executes none of them and reads
+        back what a run on an empty engine computes."""
+        with use_engine(EngineConfig(cache_dir=str(tmp_path), progress=False)):
+            figures.fig2_fig3(TINY, kernels=("mvt",))
+            watched = ("engine.jobs.executed", "engine.store.resume_hits")
+            executed, hits = (telemetry.value(name) for name in watched)
+            stored = figures.fig7(TINY, benchmarks=("mvt",))
+            assert [telemetry.value(name) for name in watched] == [
+                executed, hits + 2 * TINY.n_trials,
+            ]
+        with use_engine(EngineConfig(progress=False)):
+            fresh = figures.fig7(TINY, benchmarks=("mvt",))
+        assert json.dumps(stored.data, sort_keys=True) == json.dumps(
+            fresh.data, sort_keys=True
+        )
+        assert stored.render() == fresh.render()
 
 
 class TestFig8:

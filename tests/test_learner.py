@@ -5,7 +5,7 @@ import pytest
 
 from repro.active import ActiveLearner, IterationRecord, LearnerConfig, LearningHistory
 from repro.forest import RandomForestRegressor
-from repro.sampling import make_strategy
+from repro.sampling import get_strategy
 from repro.space import DataPool
 
 
@@ -30,7 +30,7 @@ def _learner(rng, strategy="pwu", **cfg_overrides):
         evaluate=oracle,
         X_test=X_test,
         y_test=y_test,
-        strategy=make_strategy(strategy),
+        strategy=get_strategy(strategy),
         config=LearnerConfig(**cfg),
         seed=rng,
     )
@@ -143,7 +143,7 @@ class TestValidation:
                 evaluate=oracle,
                 X_test=X_test,
                 y_test=y_test,
-                strategy=make_strategy("random"),
+                strategy=get_strategy("random"),
                 config=LearnerConfig(n_init=5, n_max=20),
             )
 
@@ -155,7 +155,7 @@ class TestValidation:
                 evaluate=oracle,
                 X_test=X_test[:50],
                 y_test=y_test[:50],
-                strategy=make_strategy("random"),
+                strategy=get_strategy("random"),
                 config=LearnerConfig(n_init=5, n_max=20, alphas=(0.01,)),
             )
 
@@ -167,7 +167,7 @@ class TestValidation:
                 evaluate=oracle,
                 X_test=X_test,
                 y_test=y_test[:-1],
-                strategy=make_strategy("random"),
+                strategy=get_strategy("random"),
             )
 
     def test_bad_oracle_shape_caught(self, rng):
@@ -177,7 +177,7 @@ class TestValidation:
             evaluate=lambda X: np.ones(3),  # wrong length on batches of 1
             X_test=X_test,
             y_test=y_test,
-            strategy=make_strategy("random"),
+            strategy=get_strategy("random"),
             config=LearnerConfig(n_init=3, n_max=5, alphas=(0.1,)),
             seed=rng,
         )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.active import ActiveLearner, LearnerConfig
-from repro.sampling import make_strategy
+from repro.sampling import get_strategy
 from repro.space import DataPool
 
 
@@ -28,7 +28,7 @@ class TestExplicitColdStart:
             evaluate=oracle,
             X_test=X_test,
             y_test=y_test,
-            strategy=make_strategy("random"),
+            strategy=get_strategy("random"),
             config=LearnerConfig(n_init=5, n_max=10, eval_every=5, alphas=(0.1,)),
             seed=rng,
             cold_start_indices=seeds,
@@ -43,7 +43,7 @@ class TestExplicitColdStart:
             evaluate=oracle,
             X_test=X_test,
             y_test=y_test,
-            strategy=make_strategy("random"),
+            strategy=get_strategy("random"),
             config=LearnerConfig(n_init=5, n_max=10, alphas=(0.1,)),
             seed=rng,
             cold_start_indices=np.array([1, 2]),
@@ -59,7 +59,7 @@ class TestExplicitColdStart:
             evaluate=oracle,
             X_test=X_test,
             y_test=y_test,
-            strategy=make_strategy("random"),
+            strategy=get_strategy("random"),
             config=LearnerConfig(n_init=5, n_max=12, eval_every=3, alphas=(0.1,)),
             seed=rng,
             cold_start_indices=seeds,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.active import ActiveLearner, LearnerConfig
-from repro.sampling import make_strategy
+from repro.sampling import get_strategy
 from repro.space import DataPool
 
 
@@ -35,7 +35,7 @@ def _learner(strategy="pwu", seed=7, oracle_seed=123, **cfg_overrides):
         evaluate=oracle,
         X_test=X_test,
         y_test=y_test,
-        strategy=make_strategy(strategy),
+        strategy=get_strategy(strategy),
         config=LearnerConfig(**cfg),
         seed=np.random.default_rng(seed),
     )

@@ -1,4 +1,4 @@
-"""Tests for the text/CSV reporting helpers."""
+"""Tests for the text/JSON reporting helpers."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.experiments.report import (
     format_table,
     series_table,
     sparkline,
-    traces_to_csv,
 )
 
 
@@ -66,16 +65,6 @@ class TestSeriesTable:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="points"):
             series_table(np.arange(5), {"s": np.arange(4)}, "n")
-
-
-class TestCSV:
-    def test_round_trips_values(self):
-        x = np.array([1.0, 2.0])
-        csv_text = traces_to_csv(x, {"a": np.array([0.5, 0.25])}, "n")
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "n,a"
-        assert lines[1] == "1.0,0.5"
-        assert lines[2] == "2.0,0.25"
 
 
 class TestDumpJson:

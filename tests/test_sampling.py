@@ -14,7 +14,7 @@ from repro.sampling import (
     PBUSampling,
     PWUSampling,
     UniformRandomSampling,
-    make_strategy,
+    get_strategy,
 )
 from repro.sampling.base import top_k_by_score
 from repro.space import DataPool
@@ -54,7 +54,7 @@ class TestTopK:
 class TestCommonContract:
     def test_returns_requested_distinct_available(self, name, fitted, rng):
         pool, model = fitted
-        strat = make_strategy(name)
+        strat = get_strategy(name)
         picked = strat.select(model, pool, 7, rng)
         assert len(picked) == 7
         assert len(np.unique(picked)) == 7
@@ -63,19 +63,19 @@ class TestCommonContract:
     def test_rejects_zero_batch(self, name, fitted, rng):
         pool, model = fitted
         with pytest.raises(ValueError):
-            make_strategy(name).select(model, pool, 0, rng)
+            get_strategy(name).select(model, pool, 0, rng)
 
     def test_rejects_overdraw(self, name, fitted, rng):
         pool, model = fitted
         pool.take(pool.available_indices()[:-2])
         with pytest.raises(ValueError, match="remain"):
-            make_strategy(name).select(model, pool, 3, rng)
+            get_strategy(name).select(model, pool, 3, rng)
 
     def test_never_returns_taken_index(self, name, fitted, rng):
         pool, model = fitted
         taken = pool.available_indices()[:150]
         pool.take(taken)
-        picked = make_strategy(name).select(model, pool, 5, rng)
+        picked = get_strategy(name).select(model, pool, 5, rng)
         assert set(picked.tolist()).isdisjoint(set(taken.tolist()))
 
 
@@ -177,14 +177,14 @@ class TestPBUS:
 class TestRegistry:
     def test_all_names_constructible(self):
         for name in STRATEGY_NAMES:
-            assert make_strategy(name).name == name
+            assert get_strategy(name).name == name
 
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
-            make_strategy("thompson")
+            get_strategy("thompson")
 
     def test_pwu_alpha_propagates(self):
-        assert make_strategy("pwu", alpha=0.01).alpha == 0.01
+        assert get_strategy("pwu", alpha=0.01).alpha == 0.01
 
 
 @given(seed=st.integers(0, 999), batch=st.integers(1, 10))

@@ -21,7 +21,7 @@ from repro.active import ActiveLearner, LearnerConfig
 from repro.forest import RandomForestRegressor
 from repro.forest.uncertainty import across_tree_std, total_variance_std
 from repro.metrics import top_alpha_rmse
-from repro.sampling import make_strategy
+from repro.sampling import get_strategy
 from repro.space import DataPool
 from tests.conftest import without_kernel
 
@@ -321,7 +321,7 @@ def _run_learner(seed, strategy_name, forest_cls, disable_stat_reuse,
         evaluate=oracle,
         X_test=X_test,
         y_test=y_test,
-        strategy=make_strategy(strategy_name),
+        strategy=get_strategy(strategy_name),
         config=LearnerConfig(**cfg),
         seed=seed + 2,
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.forest import RandomForestRegressor
-from repro.sampling import make_strategy
+from repro.sampling import get_strategy
 from repro.sampling.variants import (
     CoefficientOfVariationSampling,
     RankWeightedUncertaintySampling,
@@ -26,11 +26,11 @@ class TestCV:
         pool_a, model = fitted
         pool_b = DataPool(pool_a.X.copy())
         a = CoefficientOfVariationSampling().select(model, pool_a, 5, rng)
-        b = make_strategy("pwu", alpha=0.0).select(model, pool_b, 5, rng)
+        b = get_strategy("pwu", alpha=0.0).select(model, pool_b, 5, rng)
         assert set(a.tolist()) == set(b.tolist())
 
     def test_registry_constructible(self):
-        assert make_strategy("cv").name == "cv"
+        assert get_strategy("cv").name == "cv"
 
 
 class TestRankWeighted:
@@ -38,7 +38,7 @@ class TestRankWeighted:
         pool_a, model = fitted
         pool_b = DataPool(pool_a.X.copy())
         a = RankWeightedUncertaintySampling(gamma=0.0).select(model, pool_a, 5, rng)
-        b = make_strategy("maxu").select(model, pool_b, 5, rng)
+        b = get_strategy("maxu").select(model, pool_b, 5, rng)
         assert set(a.tolist()) == set(b.tolist())
 
     def test_large_gamma_prefers_fast_predictions(self, fitted, rng):
@@ -55,7 +55,7 @@ class TestRankWeighted:
             RankWeightedUncertaintySampling(gamma=-1.0)
 
     def test_registry_constructible(self):
-        assert make_strategy("pwu-rank").name == "pwu-rank"
+        assert get_strategy("pwu-rank").name == "pwu-rank"
 
     def test_selection_contract(self, fitted, rng):
         pool, model = fitted
@@ -66,7 +66,7 @@ class TestRankWeighted:
 
 class TestCostAwarePWU:
     def test_registry_constructible(self):
-        assert make_strategy("pwu-cost").name == "pwu-cost"
+        assert get_strategy("pwu-cost").name == "pwu-cost"
 
     def test_prefers_cheaper_of_equal_pwu_score(self, rng):
         """Two configs with identical Equation 1 scores: the cheaper one
